@@ -22,7 +22,7 @@ from .decoding import (
     sample,
 )
 from .masking import CyclePlan, build_cycle_mask, masked_forward
-from .model import KvCache, LayerPartition, Model, ModelConfig, SlotState, init_model
+from .model import KvCache, LayerPartition, Model, ModelConfig, SlotState
 from .optim import AdamW
 from .training import (
     TrainConfig,
@@ -55,7 +55,6 @@ __all__ = [
     "evaluate",
     "fit_scaling_law",
     "generate",
-    "init_model",
     "light_pass",
     "load_corpus",
     "loss_by_offset",

@@ -34,14 +34,10 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """A dense array plus optional gradient buffer and graph linkage."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_shared")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -49,6 +45,7 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
+        self._grad_shared = False
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._backward = None
@@ -74,19 +71,18 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        # Copy on first touch: closures may pass views of shared buffers.
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        # Adopt g on first touch. Unless the caller owns it (freshly
+        # computed), g may view a buffer shared with other nodes, so it is
+        # copied before the first in-place add.
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
-        else:
-            self.grad += g
-
-    def _accumulate_owned(self, g: np.ndarray) -> None:
-        # For freshly computed arrays only: safe to adopt without copying.
-        if self.grad is None:
-            self.grad = g
-        else:
-            self.grad += g
+            self.grad = g if g.dtype == self.data.dtype else g.astype(self.data.dtype)
+            self._grad_shared = not owned and self.grad is g
+            return
+        if self._grad_shared:
+            self.grad = np.array(self.grad)
+            self._grad_shared = False
+        self.grad += g
 
     def backward(self) -> None:
         """Accumulate gradients into every requires_grad ancestor.
@@ -203,9 +199,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate_owned(_unbroadcast(g * b.data, a.data.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            b._accumulate_owned(_unbroadcast(g * a.data, b.data.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _make(data, (a, b), backward)
 
@@ -231,9 +227,9 @@ def matmul(a, b) -> Tensor:
         def backward(g):
             g2 = g.reshape(-1, g.shape[-1])
             if a.requires_grad:
-                a._accumulate_owned((g2 @ b.data.T).reshape(a.data.shape))
+                a._accumulate((g2 @ b.data.T).reshape(a.data.shape), owned=True)
             if b.requires_grad:
-                b._accumulate_owned(a2.T @ g2)
+                b._accumulate(a2.T @ g2, owned=True)
 
         return _make(data, (a, b), backward)
 
@@ -242,10 +238,10 @@ def matmul(a, b) -> Tensor:
     def backward(g):
         if a.requires_grad:
             ga = g @ np.swapaxes(b.data, -1, -2)
-            a._accumulate_owned(_unbroadcast(ga, a.data.shape))
+            a._accumulate(_unbroadcast(ga, a.data.shape), owned=True)
         if b.requires_grad:
             gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accumulate_owned(_unbroadcast(gb, b.data.shape))
+            b._accumulate(_unbroadcast(gb, b.data.shape), owned=True)
 
     return _make(data, (a, b), backward)
 
@@ -294,7 +290,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate_owned(np.broadcast_to(g, a.data.shape).copy())
+        a._accumulate(np.broadcast_to(g, a.data.shape).copy(), owned=True)
 
     return _make(data, (a,), backward)
 
@@ -305,20 +301,74 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
+def _softmax_rows(x: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarray:
+    """exp(x - max) / sum, into ``x``'s own buffer if ``overwrite``.
+
+    Rejects NaN and +-inf: a NaN or +inf shows in the row max and a -inf
+    in the global min, two reductions cheaper than an ``isfinite`` scan.
+    """
+    row_max = x.max(axis=axis, keepdims=True)
+    if not np.isfinite(row_max).all() or (x.size and not np.isfinite(x.min())):
+        raise NumericError("softmax input contains non-finite values")
+    e = np.subtract(x, row_max, out=x if overwrite else None)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
+def _softmax_backward(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """y * (g - sum(g * y)), in one fresh buffer."""
+    t = np.multiply(g, y)
+    dot = t.sum(axis=axis, keepdims=True)
+    np.subtract(g, dot, out=t)
+    t *= y
+    return t
+
+
 def softmax(x, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax; rejects non-finite input."""
     x = _as_tensor(x)
-    if not np.all(np.isfinite(x.data)):
-        raise NumericError("softmax input contains non-finite values")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax_rows(x.data, axis)
 
     def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        x._accumulate_owned(y * (g - dot))
+        x._accumulate(_softmax_backward(g, y, axis), owned=True)
 
     return _make(y, (x,), backward)
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
+    """``softmax(q @ k^T / sqrt(hd) + mask) @ v`` as one graph node.
+
+    q is [..., n, hd], k and v are [..., m, hd], mask is an additive
+    [n, m] array. The node runs the floating-point operations of the
+    composed matmul/mul/add/softmax graph (its oracle) but keeps only the
+    probabilities of that graph's four [..., n, m] intermediates.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    hd = q.data.shape[-1]
+    if k.shape[-1] != hd or k.shape != v.shape or mask.shape != (q.shape[-2], k.shape[-2]):
+        raise DimensionError(
+            f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}, mask {mask.shape}"
+        )
+    scale = np.asarray(1.0 / np.sqrt(hd), dtype=q.data.dtype)
+    scores = q.data @ np.swapaxes(k.data, -1, -2)
+    scores *= scale
+    scores += mask
+    probs = _softmax_rows(scores, -1, overwrite=True)
+    out = probs @ v.data
+
+    def backward(g):
+        if v.requires_grad:
+            v._accumulate(np.swapaxes(probs, -1, -2) @ g, owned=True)
+        if q.requires_grad or k.requires_grad:
+            ds = _softmax_backward(g @ np.swapaxes(v.data, -1, -2), probs, -1)
+            ds *= scale
+            if q.requires_grad:
+                q._accumulate(ds @ k.data, owned=True)
+            if k.requires_grad:
+                k._accumulate(np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2), owned=True)
+
+    return _make(out, (q, k, v), backward)
 
 
 def silu(x: Tensor) -> Tensor:
@@ -327,7 +377,13 @@ def silu(x: Tensor) -> Tensor:
     y = x.data * sig
 
     def backward(g):
-        x._accumulate_owned(g * sig * (1.0 + x.data * (1.0 - sig)))
+        # g * sig * (1 + x * (1 - sig)), in place in the same operation order
+        t = np.subtract(1.0, sig)
+        t *= x.data
+        t += 1.0
+        out = g * sig
+        out *= t
+        x._accumulate(out, owned=True)
 
     return _make(y, (x,), backward)
 
@@ -347,21 +403,47 @@ def rms_norm(x, gain, eps: float = 1e-5) -> Tensor:
     y = normed * gain.data
 
     def backward(g):
+        t = np.empty(g.shape, dtype=g.dtype)
         if x.requires_grad:
+            # r * gg - x * (s * r^3 / d) with gg = g * gain, s = sum(gg * x)
             gg = g * gain.data
-            s = (gg * x.data).sum(axis=-1, keepdims=True)
-            x._accumulate_owned(r * gg - x.data * (s * r**3 / d))
+            s = np.multiply(gg, x.data, out=t).sum(axis=-1, keepdims=True)
+            np.multiply(x.data, s * r**3 / d, out=t)
+            gg *= r
+            gg -= t
+            x._accumulate(gg, owned=True)
         if gain.requires_grad:
-            gain._accumulate_owned((g * normed).reshape(-1, d).sum(axis=0))
+            gain._accumulate(np.multiply(g, normed, out=t).reshape(-1, d).sum(axis=0), owned=True)
 
     return _make(y, (x, gain), backward)
+
+
+_rope_tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _rope_cos_sin(positions: np.ndarray, half: int, base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``[cos, cos]`` and ``[-sin, sin]`` for ``positions`` from a
+    table that grows by doubling; each entry is computed on its own in
+    float64, so a row equals a direct computation bit for bit."""
+    key = (half, float(base), np.dtype(dtype))
+    table = _rope_tables.get(key)
+    rows = int(positions.max()) + 1 if positions.size else 0
+    if table is None or table[0].shape[0] < rows:
+        rows = max(rows, 2 * table[0].shape[0] if table is not None else 256)
+        inv = base ** (-np.arange(half, dtype=np.float64) * 2.0 / (2 * half))
+        ang = np.arange(rows)[:, None].astype(np.float64) * inv[None, :]
+        cos, sin = np.cos(ang), np.sin(ang)
+        table = (np.concatenate([cos, cos], -1).astype(dtype), np.concatenate([-sin, sin], -1).astype(dtype))
+        _rope_tables[key] = table
+    return table[0][positions], table[1][positions]
 
 
 def rope(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
     """Rotary position encoding over the trailing (position, channel) axes.
 
     ``x`` has shape [..., n, hd] with even hd; ``positions`` gives the
-    absolute position of each of the n rows.
+    absolute position of each of the n rows. Channel j < hd/2 pairs with
+    channel j + hd/2: (x1, x2) -> (x1 cos - x2 sin, x2 cos + x1 sin).
     """
     x = _as_tensor(x)
     hd = x.data.shape[-1]
@@ -373,23 +455,22 @@ def rope(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
         raise DimensionError(
             f"rope positions length {positions.shape} does not match axis size {n}"
         )
+    if positions.size and positions.min() < 0:
+        raise DimensionError(f"rope positions must be non-negative, got {positions.min()}")
     half = hd // 2
-    inv = base ** (-np.arange(half, dtype=np.float64) * 2.0 / hd)
-    ang = positions[:, None].astype(np.float64) * inv[None, :]
-    cos = np.concatenate([np.cos(ang), np.cos(ang)], axis=-1).astype(x.data.dtype)
-    sin = np.concatenate([np.sin(ang), np.sin(ang)], axis=-1).astype(x.data.dtype)
+    cos, sin = _rope_cos_sin(positions, half, base, x.data.dtype)
 
-    def rotate(v):
-        return np.concatenate([-v[..., half:], v[..., :half]], axis=-1)
-
-    y = x.data * cos + rotate(x.data) * sin
+    def rotate(v, sign):
+        # sign +1 applies the rotation, -1 its adjoint (the inverse).
+        swapped = np.concatenate([v[..., half:], v[..., :half]], axis=-1)
+        swapped *= sin
+        out = v * cos
+        return np.add(out, swapped, out=out) if sign > 0 else np.subtract(out, swapped, out=out)
 
     def backward(g):
-        gs = g * sin
-        # adjoint of rotate: (g1, g2) -> (g2, -g1)
-        x._accumulate_owned(g * cos + np.concatenate([gs[..., half:], -gs[..., :half]], axis=-1))
+        x._accumulate(rotate(g, -1), owned=True)
 
-    return _make(y, (x,), backward)
+    return _make(rotate(x.data, +1), (x,), backward)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -408,7 +489,7 @@ def embedding(table: Tensor, ids) -> Tensor:
     def backward(g):
         acc = np.zeros_like(table.data)
         np.add.at(acc, ids, g)
-        table._accumulate_owned(acc)
+        table._accumulate(acc, owned=True)
 
     return _make(data, (table,), backward)
 
@@ -453,12 +534,12 @@ def cross_entropy(logits, targets, ignore_mask=None) -> Tensor:
 
     def backward(g):
         if count == 0:
-            logits._accumulate_owned(np.zeros_like(logits.data))
+            logits._accumulate(np.zeros_like(logits.data), owned=True)
             return
         probs = e / z
         grad = probs
         grad[rows, targets] -= 1.0
         grad *= (keep * (float(g) / count))[:, None]
-        logits._accumulate_owned(grad.reshape(logits.data.shape).astype(logits.data.dtype))
+        logits._accumulate(grad.reshape(logits.data.shape).astype(logits.data.dtype), owned=True)
 
     return _make(data, (logits,), backward)

@@ -1,4 +1,4 @@
-"""Cost model and measurement harness.
+"""Exact layers-per-token (PLT) report.
 
 The layers-per-token ratio of cycle-based decoding has a closed form:
 one full pass of L layers plus tau-1 reuse passes per cycle gives
@@ -9,33 +9,27 @@ per generated token, where ``reuse`` is the layer count a light pass
 traverses (the decoding range, plus the encoding range in the encoding
 variant). The measured counterpart is read off an invocation trace in
 exact rational arithmetic, so theory and measurement can be compared with
-equality rather than tolerance. Wall-clock throughput is also reported,
-but desk-scale CPU runs are compute-bound, so the invocation counts are
-the authoritative efficiency metric and wall-clock is advisory.
+equality rather than tolerance. The report holds counts and fractions
+only, so it is deterministic; wall-clock speed is measured by the
+benchmark harness in ``perfbench/``.
 """
 
 from __future__ import annotations
 
-import time
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .decoding import (
-    SamplerConfig,
-    cycle_boundary_pass,
-    light_pass,
-    prefill,
-    sample,
-)
+from .decoding import generate
 from .errors import ConfigError
-from .masking import CyclePlan
+from .masking import VARIANTS, CyclePlan
 from .model import LayerPartition, Model
 from .trace import InvocationTrace
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -62,19 +56,19 @@ class ScalingFit:
         return self.intercept + self.slope * np.log10(tokens)
 
 
-def plt_theoretical(n_layers: int, reuse_layers: int, tau: int) -> Fraction:
+def plt_theoretical(n_layers: int, reuse: int, tau: int) -> Fraction:
     """Average fraction of layers traversed per generated token."""
-    if not 1 <= reuse_layers <= n_layers:
-        raise ConfigError(
-            f"reuse_layers must lie in [1, {n_layers}], got {reuse_layers}"
-        )
+    if not 1 <= reuse <= n_layers:
+        raise ConfigError(f"reuse layer count must lie in [1, {n_layers}], got {reuse}")
     if tau < 1:
         raise ConfigError(f"tau must be >= 1, got {tau}")
-    return Fraction(n_layers + (tau - 1) * reuse_layers, tau * n_layers)
+    return Fraction(n_layers + (tau - 1) * reuse, tau * n_layers)
 
 
 def reuse_layer_count(partition: LayerPartition, variant: str) -> int:
     """Layers traversed by a light pass under the given masking variant."""
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     reuse = len(partition.decoding)
     if variant == "encoding":
         reuse += len(partition.encoding)
@@ -86,7 +80,7 @@ def measure_plt(
     partition: LayerPartition,
     generated_tokens: int,
     tau: int,
-    reuse_layers: Optional[int] = None,
+    variant: str,
 ) -> PltReport:
     """Layers-per-token read off a trace, as an exact rational.
 
@@ -95,7 +89,8 @@ def measure_plt(
     invocations no matter how many context positions rode along, which is
     precisely the memory-bound amortization the cost model assumes. The
     ``match`` flag only asserts equality when the generation length is a
-    whole number of cycles.
+    whole number of cycles. The theoretical value uses the light-pass
+    layer count of the masking ``variant``.
     """
     if not trace.entries:
         raise ConfigError("cannot measure an empty trace")
@@ -103,9 +98,8 @@ def measure_plt(
         raise ConfigError("generated_tokens must be >= 1")
     total = trace.layer_invocations(partition)
     measured = Fraction(total, generated_tokens * partition.n_layers)
-    if reuse_layers is None:
-        reuse_layers = len(partition.decoding)
-    theoretical = plt_theoretical(partition.n_layers, reuse_layers, tau)
+    reuse = reuse_layer_count(partition, variant)
+    theoretical = plt_theoretical(partition.n_layers, reuse, tau)
     match = generated_tokens % tau == 0 and measured == theoretical
     return PltReport(
         n_layers=partition.n_layers,
@@ -148,53 +142,24 @@ def fit_scaling_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
 @dataclass
 class BenchRow:
     tau: int
-    batch: int
     generated_tokens: int
-    elapsed_s: float
-    tokens_per_sec: float
     layer_invocations: int
     plt_measured: Fraction
     plt_theoretical: Fraction
     match: bool
 
 
-def _lockstep_generate(model, contexts, gen_len, plan, sampler):
-    """Advance independent decode states one pass per round, in lockstep."""
-    states, tokens = [], []
-    for ctx in contexts:
-        state, token, _ = prefill(model, ctx, plan, sampler)
-        states.append(state)
-        tokens.append([token])
-    while any(len(t) < gen_len for t in tokens):
-        for state, toks in zip(states, tokens):
-            if len(toks) >= gen_len:
-                continue
-            if state.cycle_phase < state.tau_infer - 1:
-                logits = light_pass(model, state, state.last_token)
-            else:
-                logits = cycle_boundary_pass(model, state, state.last_token)
-            token = sample(logits, sampler, state.rng)
-            state.last_token = token
-            toks.append(token)
-    return states, tokens
-
-
 def throughput_bench(
     model: Model,
     variant: str,
     taus: Sequence[int],
-    batch_sizes: Sequence[int],
     gen_len: int,
     context_len: int = 16,
-    seed: int = 0,
 ) -> list[BenchRow]:
-    """Wall-clock and invocation-count sweep over (tau, batch) cells.
+    """Invocation counts and exact PLT of one greedy generation per tau.
 
-    Streams in a batch are independent decode states stepped in lockstep,
-    one pass per stream per round; contexts are drawn once per
-    (batch, stream) so every tau sees the same inputs. Greedy sampling
-    keeps the sweep deterministic; the pass schedule depends only on tau
-    and the lengths, never on the sampler.
+    The pass schedule, and so every count, depends only on tau and the
+    two lengths, never on token values, so one fixed context serves.
     """
     if gen_len < 1 or context_len < 1:
         raise ConfigError("gen_len and context_len must be >= 1")
@@ -203,68 +168,43 @@ def throughput_bench(
             f"context_len + gen_len = {context_len + gen_len} exceeds "
             f"max_seq_len={model.config.max_seq_len}"
         )
+    context = np.zeros(context_len, dtype=np.int64)
     rows: list[BenchRow] = []
-    sampler = SamplerConfig(mode="greedy")
-    for batch in batch_sizes:
-        contexts = [
-            np.random.default_rng([seed, batch, stream]).integers(
-                0, model.config.vocab_size, size=context_len
+    for tau in taus:
+        plan = CyclePlan(tau_train=tau, tau_infer=tau, variant=variant)
+        report, _ = generate(model, context, gen_len, plan)
+        plt = measure_plt(report.trace, model.partition, len(report.tokens), tau, variant)
+        rows.append(
+            BenchRow(
+                tau=tau,
+                generated_tokens=len(report.tokens),
+                layer_invocations=report.trace.layer_invocations(model.partition),
+                plt_measured=plt.measured,
+                plt_theoretical=plt.theoretical,
+                match=plt.match,
             )
-            for stream in range(batch)
-        ]
-        for tau in taus:
-            plan = CyclePlan(tau_train=tau, tau_infer=tau, variant=variant)
-            start = time.perf_counter()
-            states, tokens = _lockstep_generate(model, contexts, gen_len, plan, sampler)
-            elapsed = time.perf_counter() - start
-            invocations = sum(
-                s.trace.layer_invocations(model.partition) for s in states
-            )
-            plt = measure_plt(
-                states[0].trace,
-                model.partition,
-                len(tokens[0]),
-                tau,
-                reuse_layers=reuse_layer_count(model.partition, variant),
-            )
-            total_tokens = sum(len(t) for t in tokens)
-            rows.append(
-                BenchRow(
-                    tau=tau,
-                    batch=batch,
-                    generated_tokens=total_tokens,
-                    elapsed_s=elapsed,
-                    tokens_per_sec=total_tokens / elapsed if elapsed > 0 else float("inf"),
-                    layer_invocations=invocations,
-                    plt_measured=plt.measured,
-                    plt_theoretical=plt.theoretical,
-                    match=plt.match,
-                )
-            )
+        )
     return rows
 
 
+def _row_dict(row: BenchRow) -> dict:
+    """One report row, with fractions as exact ``p/q`` strings."""
+    return {
+        name: str(value) if isinstance(value, Fraction) else value
+        for name, value in dataclasses.asdict(row).items()
+    }
+
+
 def rows_to_tsv(rows: Sequence[BenchRow]) -> str:
-    header = (
-        "tau\tbatch\tgenerated_tokens\ttokens_per_sec\tlayer_invocations"
-        "\tplt_measured\tplt_theoretical\tmatch"
-    )
+    header = "\t".join(f.name for f in dataclasses.fields(BenchRow))
     lines = [f"# schema_version={REPORT_SCHEMA_VERSION}", header]
-    for r in rows:
-        lines.append(
-            f"{r.tau}\t{r.batch}\t{r.generated_tokens}\t{r.tokens_per_sec:.2f}"
-            f"\t{r.layer_invocations}\t{r.plt_measured}\t{r.plt_theoretical}\t{r.match}"
-        )
+    lines += ["\t".join(str(v) for v in _row_dict(r).values()) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def rows_to_summary(rows: Sequence[BenchRow], model: Model, variant: str) -> dict:
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "note": (
-            "desk-scale CPU runs are compute-bound; layer invocation counts are "
-            "the authoritative efficiency metric, wall-clock is advisory"
-        ),
         "n_layers": model.config.n_layers,
         "partition": {
             "encoding": len(model.partition.encoding),
@@ -272,18 +212,5 @@ def rows_to_summary(rows: Sequence[BenchRow], model: Model, variant: str) -> dic
             "decoding": len(model.partition.decoding),
         },
         "variant": variant,
-        "rows": [
-            {
-                "tau": r.tau,
-                "batch": r.batch,
-                "generated_tokens": r.generated_tokens,
-                "elapsed_s": round(r.elapsed_s, 4),
-                "tokens_per_sec": round(r.tokens_per_sec, 2),
-                "layer_invocations": r.layer_invocations,
-                "plt_measured": str(r.plt_measured),
-                "plt_theoretical": str(r.plt_theoretical),
-                "match": r.match,
-            }
-            for r in rows
-        ],
+        "rows": [_row_dict(r) for r in rows],
     }

@@ -20,6 +20,7 @@ cycle settings.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -61,13 +62,24 @@ def save_checkpoint(
     payload = b"".join(chunks)
 
     crc = zlib.crc32(config_bytes + payload) & 0xFFFFFFFF
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<I", len(config_bytes)))
-        f.write(config_bytes)
-        f.write(payload)
-        f.write(struct.pack("<I", crc))
+    # Write a sibling file and rename it over the target, so an interrupted
+    # save leaves the previous checkpoint intact.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", FORMAT_VERSION))
+            f.write(struct.pack("<I", len(config_bytes)))
+            f.write(config_bytes)
+            f.write(payload)
+            f.write(struct.pack("<I", crc))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path):

@@ -16,9 +16,8 @@ from .decoding import generate
 from .errors import ConfigError, DataError, NumericError
 from .masking import CyclePlan
 from .model import Model
-from .optim import AdamW
 from .runconfig import load_run_config
-from .training import evaluate, run_training
+from .training import evaluate, make_optimizer, run_training
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,8 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--transcript", default=None, help="write a transcript JSON here")
     p_gen.add_argument("--no-stop", action="store_true",
                        help="do not stop at the separator byte")
-    p_gen.add_argument("--unmasked-prefill", action="store_true",
-                       help="route every context position through the full path (ablation)")
 
     p_eval = sub.add_parser("eval", help="held-out loss/perplexity of a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
@@ -57,13 +54,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--tau", default=None,
                         help="cycle length or comma list, e.g. 3 or 1,2,3")
 
-    p_bench = sub.add_parser("bench", help="cost-model and throughput report")
+    p_bench = sub.add_parser("bench", help="exact layers-per-token report")
     p_bench.add_argument("--checkpoint", required=True)
     p_bench.add_argument("--taus", default="1,2,3", help="comma list of cycle lengths")
-    p_bench.add_argument("--batches", default="1", help="comma list of batch sizes")
     p_bench.add_argument("--gen-len", type=int, default=24)
     p_bench.add_argument("--context-len", type=int, default=16)
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--report-dir", default=None)
 
     p_inspect = sub.add_parser("inspect", help="print checkpoint config and partition")
@@ -92,17 +87,7 @@ def cmd_train(args) -> int:
         start_tokens = int(state.get("tokens_seen", 0))
         if moments is None:
             raise DataError("resume checkpoint carries no optimizer state")
-        opt = AdamW(
-            model.parameters(),
-            lr=cfg.train.lr,
-            beta1=cfg.train.beta1,
-            beta2=cfg.train.beta2,
-            weight_decay=cfg.train.weight_decay,
-            max_grad_norm=cfg.train.grad_clip,
-            warmup_ratio=cfg.train.warmup_ratio,
-            schedule=cfg.train.schedule,
-            total_steps=cfg.train.steps,
-        )
+        opt = make_optimizer(model, cfg.train)
         opt.load_state(*moments)
         if start_step >= cfg.train.steps:
             print(f"checkpoint already at step {start_step}; nothing to do")
@@ -198,7 +183,6 @@ def cmd_generate(args) -> int:
         plan,
         sampler,
         stop_token=None if args.no_stop else SEPARATOR_ID,
-        masked_context=not args.unmasked_prefill,
     )
     sys.stdout.buffer.write(detokenize(report.tokens))
     sys.stdout.buffer.write(b"\n")
@@ -214,7 +198,7 @@ def cmd_generate(args) -> int:
             "tokens": [int(t) for t in report.tokens],
             "truncated": report.truncated,
             "passes": report.trace.summary(),
-            "occupancy": report.occupancy_summary(state),
+            "occupancy": state.cache.occupancy_counts(),
         }
         Path(args.transcript).write_text(
             json.dumps(transcript, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -252,15 +236,8 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     model, run_cfg, _state, _ = load_checkpoint(args.checkpoint)
     taus = _parse_int_list(args.taus, "--taus")
-    batches = _parse_int_list(args.batches, "--batches")
     rows = throughput_bench(
-        model,
-        run_cfg.plan.variant,
-        taus,
-        batches,
-        gen_len=args.gen_len,
-        context_len=args.context_len,
-        seed=args.seed,
+        model, run_cfg.plan.variant, taus, gen_len=args.gen_len, context_len=args.context_len
     )
     tsv = rows_to_tsv(rows)
     sys.stdout.write(tsv)

@@ -34,10 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import autograd as ag
 from .autograd import Tensor, no_grad
 from .errors import ConfigError, ContractError, NumericError
-from .masking import CyclePlan, build_cycle_mask
+from .masking import CyclePlan, masked_forward
 from .model import KvCache, Model, SlotState
 from .trace import InvocationTrace
 
@@ -76,8 +75,10 @@ class DecodeState:
     """Generation cursor for one stream.
 
     ``cycle_phase`` counts the light passes completed since the last full
-    pass and always equals ``len(pending_refill)``. ``last_token`` is the
-    newest sampled token, which has not been forwarded anywhere yet.
+    pass and always equals ``len(pending_refill)``, which holds each light
+    pass's position and base row (the skipped ranges' input at the next
+    refill). ``last_token`` is the newest sampled token, which has not
+    been forwarded anywhere yet.
     """
 
     cache: KvCache
@@ -86,8 +87,7 @@ class DecodeState:
     mask_anchor: int
     next_position: int
     last_token: int
-    pending_refill: list[tuple[int, int]] = field(default_factory=list)
-    stored_base: list[np.ndarray] = field(default_factory=list)
+    pending_refill: list[tuple[int, np.ndarray]] = field(default_factory=list)
     trace: InvocationTrace = field(default_factory=InvocationTrace)
     pass_index: int = 0
     rng: Optional[np.random.Generator] = None
@@ -107,7 +107,7 @@ class DecodeState:
             if self.plan.variant == "embedding"
             else list(part.thinking)
         )
-        for pos, _tok in self.pending_refill:
+        for pos, _ in self.pending_refill:
             if not np.all(occ[list(part.decoding), pos] == SlotState.FILLED):
                 raise ContractError("pending positions must be Filled at decoding layers")
             if skipped and not np.all(occ[skipped, pos] == SlotState.PENDING_REFILL):
@@ -125,9 +125,6 @@ class GenerationReport:
     truncated: bool = False
     message: str = ""
 
-    def occupancy_summary(self, state: DecodeState) -> dict[str, int]:
-        return state.cache.occupancy_counts()
-
 
 def _trace_range(state: DecodeState, model: Model, name: str, positions) -> None:
     if len(model.partition.range_of(name)) > 0:
@@ -139,67 +136,38 @@ def prefill(
     context,
     plan: CyclePlan,
     sampler: Optional[SamplerConfig] = None,
-    masked_context: bool = True,
 ) -> tuple[DecodeState, int, np.ndarray]:
     """Run the whole context through all ranges and emit the first token.
 
-    This is the initial full pass of the first cycle. With
-    ``masked_context`` (the default) the context's decoding-range inputs
-    follow the training-time cyclical mask, anchored so the final context
-    position is a cycle start; the unmasked mode routes every context
-    position through the full path and is kept for ablation only.
+    This is the initial full pass of the first cycle: ``masked_forward``
+    over the context, writing a fresh cache, with the cyclical mask at
+    ``tau_infer`` anchored so the final context position is a cycle start.
     Returns the new state, the sampled token, and its logits row.
     """
-    plan.validate(model)
+    plan.validate(model.config)
     sampler = sampler or SamplerConfig()
     sampler.validate()
     context = np.asarray(context, dtype=np.int64).reshape(-1)
     n = context.shape[0]
     if n < 1:
         raise ConfigError("context must be nonempty")
-    if n > model.config.max_seq_len:
-        raise ConfigError(
-            f"context length {n} exceeds max_seq_len={model.config.max_seq_len}"
-        )
     tau = plan.resolved_tau_infer()
-    anchor = (n - 1) % tau
-    part = model.partition
-    cache = model.new_cache()
-    positions = np.arange(n)
-
     state = DecodeState(
-        cache=cache,
+        cache=model.new_cache(),
         plan=plan,
         tau_infer=tau,
-        mask_anchor=anchor,
+        mask_anchor=(n - 1) % tau,
         next_position=n,
         last_token=-1,
         rng=np.random.default_rng(sampler.seed),
     )
-
     with no_grad():
-        h_emb = model.embed_tokens(context)
-        h_enc = model.forward_range(
-            h_emb, part.encoding.start, part.encoding.stop, positions, cache, write_cache=True
-        )
-        _trace_range(state, model, "encoding", positions)
-        h_think = model.forward_range(
-            h_enc, part.thinking.start, part.thinking.stop, positions, cache, write_cache=True
-        )
-        _trace_range(state, model, "thinking", positions)
-
-        if masked_context:
-            mask = build_cycle_mask(n, tau, anchor)
-        else:
-            mask = np.ones(n, dtype=np.uint8)
-        base = h_emb if plan.variant == "embedding" else h_enc
-        h_masked = ag.add(base, ag.mul(h_think, Tensor(mask[:, None].astype(h_think.dtype))))
-        h_out = model.forward_range(
-            h_masked, part.decoding.start, part.decoding.stop, positions, cache, write_cache=True
-        )
-        _trace_range(state, model, "decoding", positions)
-        logits = model.lm_head(h_out).data
-
+        logits = masked_forward(
+            model, context, plan, anchor=state.mask_anchor, tau=tau, cache=state.cache
+        ).data
+    positions = np.arange(n)
+    for name in ("encoding", "thinking", "decoding"):
+        _trace_range(state, model, name, positions)
     state.pass_index += 1
     token = sample(logits[-1], sampler, state.rng)
     state.last_token = token
@@ -241,8 +209,7 @@ def light_pass(model: Model, state: DecodeState, token: int) -> np.ndarray:
         logits = model.lm_head(h_out).data
 
     state.cache.mark_pending(skipped, p)
-    state.pending_refill.append((p, int(token)))
-    state.stored_base.append(base.data[0].copy())
+    state.pending_refill.append((p, base.data[0].copy()))
     state.next_position = p + 1
     state.pass_index += 1
     return logits[0]
@@ -267,6 +234,7 @@ def cycle_boundary_pass(model: Model, state: DecodeState, last_token: int) -> np
     if p >= model.config.max_seq_len:
         raise ConfigError(f"position {p} exceeds max_seq_len")
     pend_positions = [pos for pos, _ in state.pending_refill]
+    pend_bases = [base for _, base in state.pending_refill]
     if pend_positions != list(range(p - len(pend_positions), p)):
         raise ContractError(f"refill batch out of order: {pend_positions} before {p}")
     batch_positions = np.array(pend_positions + [p])
@@ -281,10 +249,10 @@ def cycle_boundary_pass(model: Model, state: DecodeState, last_token: int) -> np
                 h_emb_new, part.encoding.start, part.encoding.stop, np.array([p]), state.cache, write_cache=True
             )
             _trace_range(state, model, "encoding", [p])
-            think_in = _stack_rows(state.stored_base + [base_new.data[0]], h_emb_new.dtype)
+            think_in = _stack_rows(pend_bases + [base_new.data[0]], h_emb_new.dtype)
         else:
             base_new = h_emb_new
-            enc_in = _stack_rows(state.stored_base + [base_new.data[0]], h_emb_new.dtype)
+            enc_in = _stack_rows(pend_bases + [base_new.data[0]], h_emb_new.dtype)
             enc_out = model.forward_range(
                 enc_in, part.encoding.start, part.encoding.stop, batch_positions, state.cache, write_cache=True
             )
@@ -303,7 +271,6 @@ def cycle_boundary_pass(model: Model, state: DecodeState, last_token: int) -> np
         logits = model.lm_head(h_out).data
 
     state.pending_refill.clear()
-    state.stored_base.clear()
     state.next_position = p + 1
     state.pass_index += 1
     return logits[0]
@@ -321,7 +288,6 @@ def generate(
     sampler: Optional[SamplerConfig] = None,
     stop_token: Optional[int] = None,
     collect_logits: bool = False,
-    masked_context: bool = True,
 ) -> tuple[GenerationReport, DecodeState]:
     """Generate up to ``max_new_tokens`` tokens in cycles of ``tau_infer``.
 
@@ -333,7 +299,7 @@ def generate(
     if max_new_tokens < 1:
         raise ConfigError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
     sampler = sampler or SamplerConfig()
-    state, token, first_logits = prefill(model, context, plan, sampler, masked_context)
+    state, token, first_logits = prefill(model, context, plan, sampler)
     n_ctx = int(np.asarray(context).reshape(-1).shape[0])
     tokens = [token]
     logit_rows = [first_logits] if collect_logits else None

@@ -35,7 +35,3 @@ class DataError(ValueError):
 
 class ChecksumError(DataError):
     """Checkpoint payload does not match its recorded checksum."""
-
-
-class TruncationError(RuntimeError):
-    """Generation ran into the maximum sequence length."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autograd import Tensor, add, mul
 from .errors import ConfigError
-from .model import Model
+from .model import KvCache, Model, ModelConfig
 
 VARIANTS = ("embedding", "encoding")
 
@@ -35,7 +35,7 @@ class CyclePlan:
     variant: str = "embedding"
     mask_anchor: int = 0
 
-    def validate(self, model: Optional[Model] = None) -> None:
+    def validate(self, config: Optional[ModelConfig] = None) -> None:
         if self.tau_train < 1:
             raise ConfigError(f"tau_train must be >= 1, got {self.tau_train}")
         if self.tau_infer is not None and self.tau_infer < 1:
@@ -46,7 +46,7 @@ class CyclePlan:
             raise ConfigError(
                 f"mask_anchor must lie in [0, tau_train), got {self.mask_anchor}"
             )
-        if model is not None and self.variant == "encoding" and model.config.n_encoding < 1:
+        if config is not None and self.variant == "encoding" and config.n_encoding < 1:
             raise ConfigError("the encoding variant requires at least one encoding layer")
 
     def resolved_tau_infer(self) -> int:
@@ -71,14 +71,17 @@ def masked_forward(
     plan: CyclePlan,
     anchor: Optional[int] = None,
     tau: Optional[int] = None,
+    cache: Optional[KvCache] = None,
 ) -> Tensor:
     """Full training-style forward pass over a sequence (or batch of them).
 
     Returns logits of shape [n, V] (or [B, n, V]). ``anchor`` and ``tau``
     default to the plan's training settings; the inference replay oracle
-    overrides them to align with a realized generation.
+    and the decoder's prefill override them to align with a realized
+    generation. With a ``cache`` (a single sequence only) every range
+    writes its KV entries for positions 0..n-1 into it.
     """
-    plan.validate(model)
+    plan.validate(model.config)
     tokens = np.asarray(tokens)
     n = tokens.shape[-1]
     if n > model.config.max_seq_len:
@@ -90,14 +93,21 @@ def masked_forward(
     part = model.partition
 
     positions = np.arange(n)
+    write = cache is not None
     h_emb = model.embed_tokens(tokens)
-    h_enc = model.forward_range(h_emb, part.encoding.start, part.encoding.stop, positions)
-    h_think = model.forward_range(h_enc, part.thinking.start, part.thinking.stop, positions)
+    h_enc = model.forward_range(
+        h_emb, part.encoding.start, part.encoding.stop, positions, cache, write
+    )
+    h_think = model.forward_range(
+        h_enc, part.thinking.start, part.thinking.stop, positions, cache, write
+    )
 
     mask = build_cycle_mask(n, tau, anchor % tau)
     mask_col = Tensor(mask[:, None].astype(h_think.dtype))
     base = h_emb if plan.variant == "embedding" else h_enc
     h_masked = add(base, mul(h_think, mask_col))
 
-    h_out = model.forward_range(h_masked, part.decoding.start, part.decoding.stop, positions)
+    h_out = model.forward_range(
+        h_masked, part.decoding.start, part.decoding.stop, positions, cache, write
+    )
     return model.lm_head(h_out)

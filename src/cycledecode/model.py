@@ -244,7 +244,6 @@ class Model:
         cfg = self.config
         w = self.blocks[layer]
         n = x.shape[-2]
-        head_dim = cfg.d_model // cfg.n_heads
 
         a_in = ag.rms_norm(x, w.attn_gain, cfg.norm_eps)
         q = self._split_heads(ag.matmul(a_in, w.wq))
@@ -274,9 +273,7 @@ class Model:
         mask = np.zeros((n, past + n), dtype=x.dtype)
         mask[:, past:] = np.triu(np.full((n, n), ag.MASK_VALUE, dtype=x.dtype), k=1)
 
-        kt = ag.transpose(k_all, tuple(range(k_all.ndim - 2)) + (k_all.ndim - 1, k_all.ndim - 2))
-        scores = ag.add(ag.mul(ag.matmul(q, kt), 1.0 / np.sqrt(head_dim)), mask)
-        attn = ag.matmul(ag.softmax(scores, axis=-1), v_all)
+        attn = ag.causal_attention(q, k_all, v_all, mask)
         x = ag.add(x, ag.matmul(self._merge_heads(attn), w.wo))
 
         m_in = ag.rms_norm(x, w.mlp_gain, cfg.norm_eps)
@@ -326,7 +323,3 @@ class Model:
     def lm_head(self, states: Tensor) -> Tensor:
         """Final norm, then projection to vocabulary logits."""
         return ag.matmul(ag.rms_norm(states, self.final_gain, self.config.norm_eps), self.lm_head_w)
-
-
-def init_model(config: ModelConfig, dtype=np.float32) -> Model:
-    return Model(config, dtype=dtype)

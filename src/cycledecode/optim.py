@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .autograd import Tensor
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, NumericError
 
 SCHEDULES = ("constant", "cosine")
 
@@ -79,12 +79,18 @@ class AdamW:
         for name, t in self.params:
             if t.grad is None:
                 raise ContractError(f"parameter {name!r} has no gradient")
-            total += float(np.sum(np.square(t.grad.astype(np.float64))))
+            total += float(np.sum(np.square(t.grad, dtype=np.float64)))
         return math.sqrt(total)
 
     def step(self) -> float:
-        """Apply one clipped AdamW update; returns the pre-clip grad norm."""
+        """Apply one clipped AdamW update; returns the pre-clip grad norm.
+
+        A non-finite gradient raises ``NumericError`` before any weight or
+        moment changes.
+        """
         norm = self.grad_norm()
+        if not math.isfinite(norm):
+            raise NumericError(f"non-finite gradient norm {norm}")
         scale = 1.0
         if norm > self.max_grad_norm:
             scale = self.max_grad_norm / (norm + 1e-12)
@@ -93,13 +99,24 @@ class AdamW:
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
         for (name, p), m, v in zip(self.params, self.first_moment, self.second_moment):
+            # In place, in the operation order of m = b1 m + (1 - b1) g, v = b2 v
+            # + (1 - b2) g^2, p -= lr (m / bc1) / (sqrt(v / bc2) + eps) + lr wd p.
             g = p.grad if scale == 1.0 else p.grad * scale
+            buf = np.multiply(g, 1.0 - self.beta1)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += buf
+            np.square(g, out=buf)
+            buf *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= lr_t * update + lr_t * self.weight_decay * p.data
+            v += buf
+            np.divide(v, bc2, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += self.eps
+            update = np.divide(m, bc1)
+            update /= buf
+            update *= lr_t
+            update += np.multiply(p.data, lr_t * self.weight_decay, out=buf)
+            p.data -= update
         self.step_count += 1
         return norm
 

@@ -38,11 +38,9 @@ class RunConfig:
 
     def validate(self, check_paths: bool = True) -> None:
         self.model.validate()
-        self.plan.validate()
+        self.plan.validate(self.model)
         self.train.validate()
         self.sampler.validate()
-        if self.plan.variant == "encoding" and self.model.n_encoding < 1:
-            raise ConfigError("the encoding variant requires at least one encoding layer")
         if self.train.seq_len > self.model.max_seq_len:
             raise ConfigError(
                 f"train seq_len {self.train.seq_len} exceeds max_seq_len "

@@ -284,7 +284,7 @@ def test_criterion_6_plt_law():
             context = rng.integers(0, 257, size=3)
             report, _ = generate(model, context, g, plan, SamplerConfig())
             reuse = reuse_layer_count(model.partition, variant)
-            plt = measure_plt(report.trace, model.partition, g, tau, reuse_layers=reuse)
+            plt = measure_plt(report.trace, model.partition, g, tau, variant=variant)
             assert plt.measured == plt.theoretical
             assert plt.match
 

@@ -120,6 +120,8 @@ class TestSoftmax:
             ag.softmax(Tensor([np.inf, 0.0]))
         with pytest.raises(NumericError):
             ag.softmax(Tensor([np.nan, 0.0]))
+        with pytest.raises(NumericError):
+            ag.softmax(Tensor([[0.0, 1.0], [-np.inf, 0.0]]))
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
@@ -233,6 +235,19 @@ class TestBackward:
         ag.tsum(loss).backward()
         assert np.allclose(w.grad, [7.0])
 
+    @pytest.mark.parametrize("a_first", [True, False])
+    def test_shared_gradient_not_corrupted(self, a_first):
+        # add() hands one gradient buffer to both operands; a later
+        # contribution to one of them must not leak into the other.
+        rng = np.random.default_rng(16)
+        a, b = randt(rng, (3,)), randt(rng, (3,))
+        w, w2 = rng.normal(size=3), rng.normal(size=3)
+        shared = ag.tsum(ag.mul(ag.add(a, b), w))
+        extra = ag.tsum(ag.mul(a, w2))
+        ag.add(shared, extra).backward() if a_first else ag.add(extra, shared).backward()
+        assert np.array_equal(b.grad, w)
+        assert np.allclose(a.grad, w + w2, atol=1e-15)
+
     def test_no_grad_context(self):
         w = Tensor([1.0], requires_grad=True)
         with ag.no_grad():
@@ -254,6 +269,30 @@ class TestElementwiseOps:
         rng = np.random.default_rng(8)
         x = randt(rng, (2, 6))
         fd_check(lambda: ag.tsum(ag.mul(ag.silu(x), 0.7)), [x])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_silu_and_rms_norm_match_plain_expressions(self, dtype):
+        # The in-place evaluations keep the plain expressions' operation
+        # order, so values and gradients agree bit for bit.
+        rng = np.random.default_rng(17)
+        xd = rng.normal(size=(3, 5, 8)).astype(dtype)
+        gd = rng.normal(size=(3, 5, 8)).astype(dtype)
+        gain_d = rng.normal(size=8).astype(dtype)
+
+        x = Tensor(xd.copy(), requires_grad=True)
+        ag.tsum(ag.mul(ag.silu(x), gd)).backward()
+        sig = 1.0 / (1.0 + np.exp(-xd))
+        assert np.array_equal(ag.silu(Tensor(xd)).data, xd * sig)
+        assert np.array_equal(x.grad, gd * sig * (1.0 + xd * (1.0 - sig)))
+
+        x = Tensor(xd.copy(), requires_grad=True)
+        gain = Tensor(gain_d.copy(), requires_grad=True)
+        ag.tsum(ag.mul(ag.rms_norm(x, gain), gd)).backward()
+        r = 1.0 / np.sqrt(np.mean(np.square(xd), axis=-1, keepdims=True) + 1e-5)
+        gg = gd * gain_d
+        s = (gg * xd).sum(axis=-1, keepdims=True)
+        assert np.array_equal(x.grad, r * gg - xd * (s * r**3 / 8))
+        assert np.array_equal(gain.grad, (gd * (xd * r)).reshape(-1, 8).sum(axis=0))
 
     def test_concat_gradients(self):
         rng = np.random.default_rng(9)
@@ -313,6 +352,79 @@ class TestRope:
         x = randt(rng, (2, 3, 8))
         w = randt(rng, (2, 3, 8))
         fd_check(lambda: ag.tsum(ag.mul(ag.rope(x, np.array([2, 5, 11]), 10000.0), w)), [x, w])
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cached_tables_match_direct_computation(self, dtype):
+        # Positions past the first table size make it grow.
+        rng = np.random.default_rng(18)
+        hd, base = 8, 10000.0
+        for positions in (np.arange(5), np.arange(250, 270), np.array([3, 700, 701])):
+            x = rng.normal(size=(2, positions.size, hd)).astype(dtype)
+            inv = base ** (-np.arange(hd // 2, dtype=np.float64) * 2.0 / hd)
+            ang = positions[:, None].astype(np.float64) * inv[None, :]
+            cos = np.concatenate([np.cos(ang), np.cos(ang)], axis=-1).astype(dtype)
+            sin = np.concatenate([np.sin(ang), np.sin(ang)], axis=-1).astype(dtype)
+            rotated = np.concatenate([-x[..., hd // 2:], x[..., :hd // 2]], axis=-1)
+            out = ag.rope(Tensor(x), positions, base).data
+            assert out.dtype == dtype
+            assert np.array_equal(out, x * cos + rotated * sin)
+
+    def test_negative_position_rejected(self):
+        with pytest.raises(DimensionError):
+            ag.rope(Tensor(np.ones((2, 4))), np.array([-1, 0]), 10000.0)
+
+
+def composed_attention(q, k, v, mask):
+    """The matmul/mul/add/softmax graph that ``causal_attention`` fuses."""
+    kt = ag.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    scores = ag.add(ag.mul(ag.matmul(q, kt), 1.0 / np.sqrt(q.shape[-1])), mask)
+    return ag.matmul(ag.softmax(scores, axis=-1), v)
+
+
+def causal_mask(n, past, dtype=np.float64):
+    mask = np.zeros((n, past + n), dtype=dtype)
+    mask[:, past:] = np.triu(np.full((n, n), ag.MASK_VALUE, dtype=dtype), k=1)
+    return mask
+
+
+class TestCausalAttention:
+    @pytest.mark.parametrize("n,past", [(6, 0), (1, 5), (3, 4)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_composed_graph(self, n, past, dtype):
+        rng = np.random.default_rng(19 + n + past)
+        shapes = {"q": (2, 3, n, 4), "k": (2, 3, past + n, 4), "v": (2, 3, past + n, 4)}
+        data = {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+        w = rng.normal(size=(2, 3, n, 4)).astype(dtype)
+        mask = causal_mask(n, past, dtype)
+        grads = []
+        for op in (ag.causal_attention, composed_attention):
+            ts = {name: Tensor(d.copy(), requires_grad=True) for name, d in data.items()}
+            out = op(ts["q"], ts["k"], ts["v"], mask)
+            ag.tsum(ag.mul(out, w)).backward()
+            grads.append([out.data] + [ts[name].grad for name in ("q", "k", "v")])
+        for fused, composed in zip(*grads):
+            assert np.array_equal(fused, composed)
+
+    def test_gradients(self):
+        rng = np.random.default_rng(20)
+        q, k, v = randt(rng, (2, 5, 4)), randt(rng, (2, 7, 4)), randt(rng, (2, 7, 4))
+        w = randt(rng, (2, 5, 4))
+        mask = causal_mask(5, 2)
+        fd_check(lambda: ag.tsum(ag.mul(ag.causal_attention(q, k, v, mask), w)), [q, k, v, w])
+
+    def test_shapes_checked(self):
+        q = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(DimensionError):
+            ag.causal_attention(q, Tensor(np.zeros((2, 3, 6))), Tensor(np.zeros((2, 3, 6))), causal_mask(3, 0))
+        with pytest.raises(DimensionError):
+            ag.causal_attention(q, q, q, causal_mask(3, 1))
+
+    def test_non_finite_rejected(self):
+        q = np.zeros((1, 2, 4))
+        q[0, 1, 2] = np.nan
+        with pytest.raises(NumericError):
+            ag.causal_attention(Tensor(q), Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 2, 4))), causal_mask(2, 0))
 
 
 class TestEmbedding:

@@ -7,7 +7,6 @@ from cycledecode.bench import (
     fit_scaling_law,
     measure_plt,
     plt_theoretical,
-    reuse_layer_count,
     rows_to_summary,
     rows_to_tsv,
     throughput_bench,
@@ -68,7 +67,7 @@ class TestMeasurePlt:
             [("decoding", [8])],
             [("decoding", [9])],
         ]
-        report = measure_plt(trace_for(schedule, part), part, 6, 3)
+        report = measure_plt(trace_for(schedule, part), part, 6, 3, "embedding")
         assert report.measured == Fraction(24, 48) == Fraction(1, 2)
         assert report.theoretical == Fraction(1, 2)
         assert report.match
@@ -78,7 +77,7 @@ class TestMeasurePlt:
         schedule = [
             [("encoding", [p]), ("thinking", [p]), ("decoding", [p])] for p in range(4)
         ]
-        report = measure_plt(trace_for(schedule, part), part, 4, 1)
+        report = measure_plt(trace_for(schedule, part), part, 4, 1, "embedding")
         assert report.measured == 1
         assert report.match
 
@@ -88,17 +87,34 @@ class TestMeasurePlt:
         plan = CyclePlan(tau_train=3, tau_infer=3, variant="embedding")
         ctx = np.random.default_rng(0).integers(0, 257, size=5)
         report, _ = generate(model, ctx, 7, plan, SamplerConfig())
-        plt = measure_plt(report.trace, model.partition, 7, 3)
+        plt = measure_plt(report.trace, model.partition, 7, 3, "embedding")
         assert not plt.match
         deviation = plt.measured - plt.theoretical
         # off by less than one skipped-range refill, in layer-pass units
         assert 0 < deviation * 7 * 8 < 3 + 3
         assert plt.measured == Fraction(3 * 6 + 7 * 2, 7 * 8)
 
+    def test_encoding_variant_light_pass_runs_encoding_layers(self):
+        # E2/T2/D2 at tau 3: a light pass runs 4 of the 6 layers, so
+        # (6 + 2 * 4) / (3 * 6) = 7/9 layers per token
+        model = Model(tiny_config())
+        plan = CyclePlan(tau_train=3, tau_infer=3, variant="encoding")
+        ctx = np.random.default_rng(0).integers(0, 257, size=5)
+        report, _ = generate(model, ctx, 6, plan, SamplerConfig())
+        plt = measure_plt(report.trace, model.partition, 6, 3, "encoding")
+        assert plt.theoretical == plt.measured == Fraction(7, 9)
+        assert plt.match
+
     def test_empty_trace_rejected(self):
         part = LayerPartition.from_counts(1, 1, 1)
         with pytest.raises(ConfigError):
-            measure_plt(InvocationTrace(), part, 4, 2)
+            measure_plt(InvocationTrace(), part, 4, 2, "embedding")
+
+    def test_unknown_variant_rejected(self):
+        part = LayerPartition.from_counts(1, 3, 2)
+        trace = trace_for([[("decoding", [0])]], part)
+        with pytest.raises(ConfigError):
+            measure_plt(trace, part, 1, 1, "encodng")
 
 
 def fuzz_cases():
@@ -129,8 +145,7 @@ class TestPltLawOnTraces:
         g = tau * cycles
         ctx = np.random.default_rng(tau).integers(0, 257, size=4)
         report, _ = generate(model, ctx, g, plan, SamplerConfig())
-        reuse = reuse_layer_count(model.partition, variant)
-        plt = measure_plt(report.trace, model.partition, g, tau, reuse_layers=reuse)
+        plt = measure_plt(report.trace, model.partition, g, tau, variant)
         assert plt.measured == plt.theoretical, case
         assert plt.match
 
@@ -179,8 +194,7 @@ def bench_model():
 
 class TestThroughputBench:
     def test_rows_and_invocation_counts(self, bench_model):
-        rows = throughput_bench(bench_model, "embedding", taus=[1, 2], batch_sizes=[1],
-                                gen_len=4, context_len=4, seed=0)
+        rows = throughput_bench(bench_model, "embedding", taus=[1, 2], gen_len=4, context_len=4)
         assert [r.tau for r in rows] == [1, 2]
         vanilla, mtd2 = rows
         L = bench_model.config.n_layers
@@ -189,8 +203,7 @@ class TestThroughputBench:
         assert mtd2.match
 
     def test_tau1_equals_plain_cached_decoding_invocations(self, bench_model):
-        rows = throughput_bench(bench_model, "embedding", taus=[1], batch_sizes=[1],
-                                gen_len=6, context_len=4, seed=0)
+        rows = throughput_bench(bench_model, "embedding", taus=[1], gen_len=6, context_len=4)
         assert rows[0].layer_invocations == 6 * bench_model.config.n_layers
         assert rows[0].plt_measured == rows[0].plt_theoretical == 1
 
@@ -199,31 +212,22 @@ class TestThroughputBench:
             d_model=8, n_heads=2, d_ff=16, n_layers=36,
             n_encoding=0, n_thinking=28, n_decoding=8, max_seq_len=32,
         ))
-        rows = throughput_bench(model, "embedding", taus=[1, 3], batch_sizes=[1],
-                                gen_len=6, context_len=4, seed=0)
+        rows = throughput_bench(model, "embedding", taus=[1, 3], gen_len=6, context_len=4)
         vanilla, mtd3 = rows
         ratio = Fraction(vanilla.layer_invocations, mtd3.layer_invocations)
         assert ratio == Fraction(108, 52)
         assert round(float(ratio), 2) == 2.08
 
     def test_doubling_gen_length_doubles_invocations(self, bench_model):
-        short = throughput_bench(bench_model, "embedding", [2], [1], gen_len=4,
-                                 context_len=4, seed=0)
-        long = throughput_bench(bench_model, "embedding", [2], [1], gen_len=8,
-                                context_len=4, seed=0)
+        short = throughput_bench(bench_model, "embedding", [2], gen_len=4, context_len=4)
+        long = throughput_bench(bench_model, "embedding", [2], gen_len=8, context_len=4)
         assert long[0].layer_invocations == 2 * short[0].layer_invocations
 
-    def test_batch_scales_invocations(self, bench_model):
-        rows = throughput_bench(bench_model, "embedding", [2], [1, 2], gen_len=4,
-                                context_len=4, seed=0)
-        assert rows[1].layer_invocations == 2 * rows[0].layer_invocations
-
     def test_report_serialization(self, bench_model):
-        rows = throughput_bench(bench_model, "embedding", [1], [1], gen_len=2,
-                                context_len=2, seed=0)
+        rows = throughput_bench(bench_model, "embedding", [1], gen_len=2, context_len=2)
         tsv = rows_to_tsv(rows)
-        assert tsv.startswith("# schema_version=1\n")
+        assert tsv.startswith("# schema_version=2\n")
         assert "plt_measured" in tsv.splitlines()[1]
         summary = rows_to_summary(rows, bench_model, "embedding")
-        assert summary["schema_version"] == 1
+        assert summary["schema_version"] == 2
         assert summary["rows"][0]["match"] is True

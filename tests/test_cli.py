@@ -363,20 +363,25 @@ class TestCmdEval:
 class TestCmdBench:
     def test_reports_written_and_match(self, trained_run, tmp_path, capsys):
         _, report_dir = trained_run
-        out_dir = tmp_path / "bench"
-        assert run_cli([
-            "bench", "--checkpoint", report_dir / "model.ckpt",
-            "--taus", "1,2", "--batches", "1", "--gen-len", "4",
-            "--context-len", "4", "--report-dir", out_dir,
-        ]) == 0
+        reports = []
+        for run in range(2):
+            out_dir = tmp_path / f"bench{run}"
+            assert run_cli([
+                "bench", "--checkpoint", report_dir / "model.ckpt",
+                "--taus", "1,2", "--gen-len", "4",
+                "--context-len", "4", "--report-dir", out_dir,
+            ]) == 0
+            reports.append([(out_dir / name).read_bytes()
+                            for name in ("plt_report.tsv", "bench_summary.json")])
         capsys.readouterr()
+        assert reports[0] == reports[1]  # no wall time: reruns are byte-identical
         tsv = (out_dir / "plt_report.tsv").read_text()
-        assert tsv.startswith("# schema_version=1")
+        assert tsv.startswith("# schema_version=2")
         rows = [r.split("\t") for r in tsv.splitlines()[2:]]
         assert rows[0][0] == "1"  # vanilla row present
         assert all(r[-1] == "True" for r in rows)
         summary = json.loads((out_dir / "bench_summary.json").read_text())
-        assert summary["schema_version"] == 1
+        assert summary["schema_version"] == 2
         assert summary["partition"] == {"encoding": 0, "thinking": 3, "decoding": 1}
 
 

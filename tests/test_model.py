@@ -3,6 +3,7 @@ import pytest
 
 import cycledecode as cd
 from cycledecode.autograd import Tensor
+import cycledecode.checkpoint as checkpoint
 from cycledecode.checkpoint import load_checkpoint, save_checkpoint
 from cycledecode.errors import CacheIntegrityError, ChecksumError, ConfigError, DataError
 from cycledecode.model import KvCache, Model
@@ -268,6 +269,44 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) - 9])
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, tiny_model, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        run_cfg = make_run_config(tiny_model.config)
+        save_checkpoint(path, tiny_model, run_cfg, step=1)
+        before = path.read_bytes()
+
+        class FailingFile:
+            """Passes writes through to ``f`` until the fourth, which raises."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 4:
+                    raise OSError("no space left on device")
+                return self.f.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(
+            checkpoint, "open", lambda *a, **k: FailingFile(open(*a, **k)), raising=False
+        )
+        with pytest.raises(OSError):
+            save_checkpoint(path, tiny_model, run_cfg, step=2)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        _, _, state, _ = load_checkpoint(path)
+        assert state["step"] == "1"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cycledecode.autograd import Tensor
-from cycledecode.errors import ConfigError, ContractError
+from cycledecode.errors import ConfigError, ContractError, NumericError
 from cycledecode.optim import AdamW
 
 
@@ -54,6 +54,38 @@ class TestAdamWUpdate:
         opt = AdamW(params, total_steps=10)
         with pytest.raises(ContractError):
             opt.step()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grad_raises_before_update(self, bad):
+        w = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        opt = AdamW([("w", w)], lr=0.1, total_steps=10)
+        w.grad = np.array([bad, 0.0, 0.0], dtype=np.float32)
+        with pytest.raises(NumericError):
+            opt.step()
+        assert np.array_equal(w.data, np.ones(3))
+        assert not opt.first_moment[0].any() and not opt.second_moment[0].any()
+        assert opt.step_count == 0
+
+    @pytest.mark.parametrize("grad_scale", [0.1, 100.0])
+    def test_matches_plain_update_expressions(self, grad_scale):
+        # The in-place update keeps the plain expressions' operation order,
+        # so three steps (unclipped, then clipped) agree bit for bit.
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(5, 3)).astype(np.float32)
+        grads = [(grad_scale * rng.normal(size=(5, 3))).astype(np.float32) for _ in range(3)]
+        p = Tensor(data.copy(), requires_grad=True)
+        opt = AdamW([("w", p)], lr=0.01, weight_decay=0.1, warmup_ratio=0.5, total_steps=4)
+        ref, m, v = data.copy(), np.zeros_like(data), np.zeros_like(data)
+        for step, grad in enumerate(grads):
+            p.grad = grad.copy()
+            norm = opt.step()
+            g = grad if norm <= 1.0 else grad * (1.0 / (norm + 1e-12))
+            lr_t, t = opt.lr_at(step), step + 1
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.95 * v + (1.0 - 0.95) * np.square(g)
+            update = (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.95**t)) + 1e-8)
+            ref -= lr_t * update + lr_t * 0.1 * ref
+            assert np.array_equal(p.data, ref)
 
     def test_moments_shape_match(self):
         a = Tensor(np.zeros((3, 4), dtype=np.float32), requires_grad=True)
