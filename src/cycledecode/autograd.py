@@ -4,6 +4,11 @@ Tensors wrap numpy arrays (float32 by default, float64 selectable for
 gradient checking). Every op records its parents and a backward closure;
 ``backward`` replays the graph in reverse topological order. No graph is
 reused across steps.
+
+The forward arithmetic of attention, RMSNorm, SiLU and RoPE lives in
+ndarray helpers (``_attention_rows``, ``_rms_rows``, ``_silu_rows``,
+``_rope_rotate``) that both the ops here and the model's graph-free
+inference kernel call, so each formula is written once.
 """
 
 from __future__ import annotations
@@ -336,6 +341,18 @@ def softmax(x, axis: int = -1) -> Tensor:
     return _make(y, (x,), backward)
 
 
+def _attention_rows(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: Optional[np.ndarray]):
+    """``softmax(q @ k^T / sqrt(hd) + mask) @ v``, its probabilities and the
+    scale; a ``None`` mask adds nothing (every key visible)."""
+    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=q.dtype)
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores *= scale
+    if mask is not None:
+        scores += mask
+    probs = _softmax_rows(scores, -1, overwrite=True)
+    return probs @ v, probs, scale
+
+
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
     """``softmax(q @ k^T / sqrt(hd) + mask) @ v`` as one graph node.
 
@@ -350,12 +367,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tenso
         raise DimensionError(
             f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}, mask {mask.shape}"
         )
-    scale = np.asarray(1.0 / np.sqrt(hd), dtype=q.data.dtype)
-    scores = q.data @ np.swapaxes(k.data, -1, -2)
-    scores *= scale
-    scores += mask
-    probs = _softmax_rows(scores, -1, overwrite=True)
-    out = probs @ v.data
+    out, probs, scale = _attention_rows(q.data, k.data, v.data, mask)
 
     def backward(g):
         if v.requires_grad:
@@ -371,10 +383,15 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tenso
     return _make(out, (q, k, v), backward)
 
 
+def _silu_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x * sigmoid(x)`` and the sigmoid."""
+    sig = 1.0 / (1.0 + np.exp(-x))
+    return x * sig, sig
+
+
 def silu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    y = x.data * sig
+    y, sig = _silu_rows(x.data)
 
     def backward(g):
         # g * sig * (1 + x * (1 - sig)), in place in the same operation order
@@ -388,6 +405,15 @@ def silu(x: Tensor) -> Tensor:
     return _make(y, (x,), backward)
 
 
+def _rms_rows(x: np.ndarray, gain: np.ndarray, eps: float):
+    """``x / rms(x) * gain`` over the trailing axis, the normalized rows and
+    the reciprocal rms."""
+    ms = np.mean(np.square(x), axis=-1, keepdims=True)
+    r = 1.0 / np.sqrt(ms + eps)
+    normed = x * r
+    return normed * gain, normed, r
+
+
 def rms_norm(x, gain, eps: float = 1e-5) -> Tensor:
     """Scale rows to unit root-mean-square, then apply an elementwise gain."""
     x = _as_tensor(x)
@@ -397,10 +423,7 @@ def rms_norm(x, gain, eps: float = 1e-5) -> Tensor:
         raise DimensionError(
             f"rms_norm gain shape {gain.data.shape} does not match trailing dim {d}"
         )
-    ms = np.mean(np.square(x.data), axis=-1, keepdims=True)
-    r = 1.0 / np.sqrt(ms + eps)
-    normed = x.data * r
-    y = normed * gain.data
+    y, normed, r = _rms_rows(x.data, gain.data, eps)
 
     def backward(g):
         t = np.empty(g.shape, dtype=g.dtype)
@@ -438,6 +461,17 @@ def _rope_cos_sin(positions: np.ndarray, half: int, base: float, dtype) -> tuple
     return table[0][positions], table[1][positions]
 
 
+def _rope_rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray, sign: int = 1) -> np.ndarray:
+    """Rotate channel pairs (j, j + hd/2) of ``v`` by the ``_rope_cos_sin``
+    rows, which broadcast against it; sign -1 applies the adjoint (the
+    inverse)."""
+    half = v.shape[-1] // 2
+    swapped = np.concatenate([v[..., half:], v[..., :half]], axis=-1)
+    swapped *= sin
+    out = v * cos
+    return np.add(out, swapped, out=out) if sign > 0 else np.subtract(out, swapped, out=out)
+
+
 def rope(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
     """Rotary position encoding over the trailing (position, channel) axes.
 
@@ -457,20 +491,12 @@ def rope(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
         )
     if positions.size and positions.min() < 0:
         raise DimensionError(f"rope positions must be non-negative, got {positions.min()}")
-    half = hd // 2
-    cos, sin = _rope_cos_sin(positions, half, base, x.data.dtype)
-
-    def rotate(v, sign):
-        # sign +1 applies the rotation, -1 its adjoint (the inverse).
-        swapped = np.concatenate([v[..., half:], v[..., :half]], axis=-1)
-        swapped *= sin
-        out = v * cos
-        return np.add(out, swapped, out=out) if sign > 0 else np.subtract(out, swapped, out=out)
+    cos, sin = _rope_cos_sin(positions, hd // 2, base, x.data.dtype)
 
     def backward(g):
-        x._accumulate(rotate(g, -1), owned=True)
+        x._accumulate(_rope_rotate(g, cos, sin, -1), owned=True)
 
-    return _make(rotate(x.data, +1), (x,), backward)
+    return _make(_rope_rotate(x.data, cos, sin), (x,), backward)
 
 
 def embedding(table: Tensor, ids) -> Tensor:

@@ -54,14 +54,17 @@ def save_checkpoint(
         state["optimizer_step_count"] = optimizer.step_count
     config_bytes = dump_run_config(run_cfg, state).encode("utf-8")
 
-    chunks = [t.data.astype("<f4").tobytes() for _, t in model.parameters()]
+    arrays = [t.data for _, t in model.parameters()]
     if optimizer is not None:
         first, second = optimizer.state_arrays()
-        chunks.extend(m.astype("<f4").tobytes() for m in first)
-        chunks.extend(v.astype("<f4").tobytes() for v in second)
-    payload = b"".join(chunks)
-
-    crc = zlib.crc32(config_bytes + payload) & 0xFFFFFFFF
+        arrays.extend(first)
+        arrays.extend(second)
+    # Each array is written and checksummed in place (float32 arrays are
+    # not copied), so the payload is never held twice.
+    chunks = [np.ascontiguousarray(a, dtype="<f4") for a in arrays]
+    crc = zlib.crc32(config_bytes)
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
     # Write a sibling file and rename it over the target, so an interrupted
     # save leaves the previous checkpoint intact.
     path = Path(path)
@@ -72,8 +75,9 @@ def save_checkpoint(
             f.write(struct.pack("<I", FORMAT_VERSION))
             f.write(struct.pack("<I", len(config_bytes)))
             f.write(config_bytes)
-            f.write(payload)
-            f.write(struct.pack("<I", crc))
+            for chunk in chunks:
+                f.write(chunk)
+            f.write(struct.pack("<I", crc & 0xFFFFFFFF))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -97,10 +101,11 @@ def load_checkpoint(path: str | Path):
     config_end = 12 + config_len
     if config_end + 4 > len(blob):
         raise DataError("checkpoint truncated")
+    view = memoryview(blob)
     config_bytes = blob[12:config_end]
-    payload = blob[config_end:-4]
+    payload = view[config_end:-4]
     stored_crc = struct.unpack("<I", blob[-4:])[0]
-    crc = zlib.crc32(config_bytes + payload) & 0xFFFFFFFF
+    crc = zlib.crc32(view[12:-4]) & 0xFFFFFFFF
     if crc != stored_crc:
         raise ChecksumError(
             f"checkpoint checksum mismatch: stored {stored_crc:#010x}, computed {crc:#010x}"

@@ -121,7 +121,8 @@ class GenerationReport:
     tau_infer: int
     mask_anchor: int
     context_length: int
-    logit_rows: Optional[list[np.ndarray]] = None
+    # [len(tokens), V]: row j holds the logits that produced tokens[j]
+    logit_rows: Optional[np.ndarray] = None
     truncated: bool = False
     message: str = ""
 
@@ -195,7 +196,7 @@ def light_pass(model: Model, state: DecodeState, token: int) -> np.ndarray:
         h_emb = model.embed_tokens(np.array([token]))
         if state.plan.variant == "encoding":
             base = model.forward_range(
-                h_emb, part.encoding.start, part.encoding.stop, positions, state.cache, write_cache=True
+                h_emb, part.encoding.start, part.encoding.stop, positions, state.cache
             )
             _trace_range(state, model, "encoding", positions)
             skipped = part.thinking
@@ -203,7 +204,7 @@ def light_pass(model: Model, state: DecodeState, token: int) -> np.ndarray:
             base = h_emb
             skipped = range(part.encoding.start, part.thinking.stop)
         h_out = model.forward_range(
-            base, part.decoding.start, part.decoding.stop, positions, state.cache, write_cache=True
+            base, part.decoding.start, part.decoding.stop, positions, state.cache
         )
         _trace_range(state, model, "decoding", positions)
         logits = model.lm_head(h_out).data
@@ -246,7 +247,7 @@ def cycle_boundary_pass(model: Model, state: DecodeState, last_token: int) -> np
             # light passes; only the newest token still needs the encoding
             # range before the batched thinking refill.
             base_new = model.forward_range(
-                h_emb_new, part.encoding.start, part.encoding.stop, np.array([p]), state.cache, write_cache=True
+                h_emb_new, part.encoding.start, part.encoding.stop, np.array([p]), state.cache
             )
             _trace_range(state, model, "encoding", [p])
             think_in = _stack_rows(pend_bases + [base_new.data[0]], h_emb_new.dtype)
@@ -254,18 +255,18 @@ def cycle_boundary_pass(model: Model, state: DecodeState, last_token: int) -> np
             base_new = h_emb_new
             enc_in = _stack_rows(pend_bases + [base_new.data[0]], h_emb_new.dtype)
             enc_out = model.forward_range(
-                enc_in, part.encoding.start, part.encoding.stop, batch_positions, state.cache, write_cache=True
+                enc_in, part.encoding.start, part.encoding.stop, batch_positions, state.cache
             )
             _trace_range(state, model, "encoding", batch_positions)
             think_in = enc_out
         h_think = model.forward_range(
-            think_in, part.thinking.start, part.thinking.stop, batch_positions, state.cache, write_cache=True
+            think_in, part.thinking.start, part.thinking.stop, batch_positions, state.cache
         )
         _trace_range(state, model, "thinking", batch_positions)
 
         decode_in = Tensor(base_new.data[-1:] + h_think.data[-1:])
         h_out = model.forward_range(
-            decode_in, part.decoding.start, part.decoding.stop, np.array([p]), state.cache, write_cache=True
+            decode_in, part.decoding.start, part.decoding.stop, np.array([p]), state.cache
         )
         _trace_range(state, model, "decoding", [p])
         logits = model.lm_head(h_out).data
@@ -302,7 +303,11 @@ def generate(
     state, token, first_logits = prefill(model, context, plan, sampler)
     n_ctx = int(np.asarray(context).reshape(-1).shape[0])
     tokens = [token]
-    logit_rows = [first_logits] if collect_logits else None
+    logit_rows = None
+    if collect_logits:
+        capacity = min(max_new_tokens, model.config.max_seq_len - n_ctx + 1)
+        logit_rows = np.empty((capacity, first_logits.shape[0]), dtype=first_logits.dtype)
+        logit_rows[0] = first_logits
     report = GenerationReport(
         tokens=tokens,
         trace=state.trace,
@@ -311,10 +316,8 @@ def generate(
         context_length=n_ctx,
         logit_rows=logit_rows,
     )
-    if stop_token is not None and token == stop_token:
-        return report, state
-
-    while len(tokens) < max_new_tokens:
+    stopped = stop_token is not None and token == stop_token
+    while not stopped and len(tokens) < max_new_tokens:
         if state.next_position >= model.config.max_seq_len:
             report.truncated = True
             report.message = (
@@ -328,9 +331,10 @@ def generate(
             logits = cycle_boundary_pass(model, state, state.last_token)
         token = sample(logits, sampler, state.rng)
         state.last_token = token
-        tokens.append(token)
         if collect_logits:
-            logit_rows.append(logits.copy())
-        if stop_token is not None and token == stop_token:
-            break
+            logit_rows[len(tokens)] = logits
+        tokens.append(token)
+        stopped = stop_token is not None and token == stop_token
+    if collect_logits and len(tokens) < logit_rows.shape[0]:
+        report.logit_rows = logit_rows[: len(tokens)].copy()
     return report, state

@@ -79,7 +79,8 @@ def masked_forward(
     default to the plan's training settings; the inference replay oracle
     and the decoder's prefill override them to align with a realized
     generation. With a ``cache`` (a single sequence only) every range
-    writes its KV entries for positions 0..n-1 into it.
+    runs on the inference kernel and writes its KV entries for positions
+    0..n-1 into it; the result then carries no graph.
     """
     plan.validate(model.config)
     tokens = np.asarray(tokens)
@@ -93,21 +94,14 @@ def masked_forward(
     part = model.partition
 
     positions = np.arange(n)
-    write = cache is not None
     h_emb = model.embed_tokens(tokens)
-    h_enc = model.forward_range(
-        h_emb, part.encoding.start, part.encoding.stop, positions, cache, write
-    )
-    h_think = model.forward_range(
-        h_enc, part.thinking.start, part.thinking.stop, positions, cache, write
-    )
+    h_enc = model.forward_range(h_emb, part.encoding.start, part.encoding.stop, positions, cache)
+    h_think = model.forward_range(h_enc, part.thinking.start, part.thinking.stop, positions, cache)
 
     mask = build_cycle_mask(n, tau, anchor % tau)
     mask_col = Tensor(mask[:, None].astype(h_think.dtype))
     base = h_emb if plan.variant == "embedding" else h_enc
     h_masked = add(base, mul(h_think, mask_col))
 
-    h_out = model.forward_range(
-        h_masked, part.decoding.start, part.decoding.stop, positions, cache, write
-    )
+    h_out = model.forward_range(h_masked, part.decoding.start, part.decoding.stop, positions, cache)
     return model.lm_head(h_out)

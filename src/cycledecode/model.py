@@ -1,10 +1,21 @@
 """Decoder-only transformer with a three-way layer partition.
 
 Layers are split into contiguous encoding, thinking, and decoding ranges.
-``forward_range`` applies any contiguous sub-range of blocks, either over a
-full sequence (training) or incrementally against a KV cache whose
-occupancy is tracked per (layer, position). Reads of unfilled slots raise
-``CacheIntegrityError``; stale data is never returned silently.
+``forward_range`` applies any contiguous sub-range of blocks in one of two
+ways:
+
+* **Training path** (no cache): every block runs on ``Tensor`` ops and
+  records the autograd graph. It is also the reference that the inference
+  kernel is tested against.
+* **Inference kernel** (with a cache): plain numpy on the weights'
+  arrays, no graph and no ``Tensor`` per op. Each layer checks that cache
+  slots [0, past) are Filled before the pass writes anything, stores its
+  new keys and values in the cache, then attends over the cache rows
+  [0, past + n) as per-head strided views, so the past is neither copied
+  nor re-split.
+
+Cache occupancy is tracked per (layer, position). Reads of unfilled slots
+raise ``CacheIntegrityError``; stale data is never returned silently.
 """
 
 from __future__ import annotations
@@ -110,7 +121,8 @@ class KvCache:
         occupied = np.nonzero(self.occupancy.max(axis=0))[0]
         return int(occupied[-1]) + 1 if occupied.size else 0
 
-    def write(self, layer: int, positions: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
+    def write(self, layer: int, positions, k: np.ndarray, v: np.ndarray) -> None:
+        """Store rows at ``positions`` (an index array or a slice) as Filled."""
         self.keys[layer, positions] = k
         self.values[layer, positions] = v
         self.occupancy[layer, positions] = SlotState.FILLED
@@ -137,6 +149,14 @@ class KvCache:
             "pending_refill": int(np.sum(flat == SlotState.PENDING_REFILL)),
             "empty": int(np.sum(flat == SlotState.EMPTY)),
         }
+
+
+def _causal_mask(n: int, past: int, dtype) -> np.ndarray:
+    """Additive mask over [query, key] for n queries after ``past`` cached
+    keys: the past fully visible, the in-flight block lower-triangular."""
+    mask = np.zeros((n, past + n), dtype=dtype)
+    mask[:, past:] = np.triu(np.full((n, n), ag.MASK_VALUE, dtype=dtype), k=1)
+    return mask
 
 
 class BlockWeights:
@@ -233,17 +253,9 @@ class Model:
         x = ag.transpose(x, axes)
         return ag.reshape(x, lead + (n, h * hd))
 
-    def _block_forward(
-        self,
-        layer: int,
-        x: Tensor,
-        positions: np.ndarray,
-        cache: Optional[KvCache],
-        write_cache: bool,
-    ) -> Tensor:
+    def _block_forward(self, layer: int, x: Tensor, positions: np.ndarray, mask: np.ndarray) -> Tensor:
         cfg = self.config
         w = self.blocks[layer]
-        n = x.shape[-2]
 
         a_in = ag.rms_norm(x, w.attn_gain, cfg.norm_eps)
         q = self._split_heads(ag.matmul(a_in, w.wq))
@@ -251,33 +263,44 @@ class Model:
         v = self._split_heads(ag.matmul(a_in, w.wv))
         q = ag.rope(q, positions, cfg.rope_base)
         k = ag.rope(k, positions, cfg.rope_base)
-
-        past = 0
-        if cache is not None:
-            past = int(positions[0])
-            if past > 0:
-                pk, pv = cache.read(layer, past)
-                pk_t = self._split_heads(Tensor(pk))
-                pv_t = self._split_heads(Tensor(pv))
-                k_all = ag.concat([pk_t, k], axis=-2)
-                v_all = ag.concat([pv_t, v], axis=-2)
-            else:
-                k_all, v_all = k, v
-            if write_cache:
-                cache.write(layer, positions, self._merge_heads(k).data, self._merge_heads(v).data)
-        else:
-            k_all, v_all = k, v
-
-        # Additive causal mask over [query, key] with the past block fully
-        # visible and the in-flight block lower-triangular.
-        mask = np.zeros((n, past + n), dtype=x.dtype)
-        mask[:, past:] = np.triu(np.full((n, n), ag.MASK_VALUE, dtype=x.dtype), k=1)
-
-        attn = ag.causal_attention(q, k_all, v_all, mask)
+        attn = ag.causal_attention(q, k, v, mask)
         x = ag.add(x, ag.matmul(self._merge_heads(attn), w.wo))
 
         m_in = ag.rms_norm(x, w.mlp_gain, cfg.norm_eps)
         x = ag.add(x, ag.matmul(ag.silu(ag.matmul(m_in, w.up)), w.down))
+        return x
+
+    def _cached_forward(self, x: np.ndarray, start: int, stop: int, past: int, cache: KvCache) -> np.ndarray:
+        """The inference kernel: blocks [start, stop) over rows at positions
+        [past, past + n), reading and writing ``cache``; ``_block_forward``
+        in plain numpy."""
+        cfg = self.config
+        n, d = x.shape
+        h = cfg.n_heads
+        hd = d // h
+        m = past + n
+        # Every layer's past is checked before any layer writes, so a
+        # refused pass leaves the cache untouched.
+        if past:
+            for layer in range(start, stop):
+                cache.read(layer, past)
+        cos, sin = ag._rope_cos_sin(np.arange(past, m), hd // 2, cfg.rope_base, x.dtype)
+        cos, sin = cos[:, None, :], sin[:, None, :]
+        mask = _causal_mask(n, past, x.dtype) if n > 1 else None
+        rows = slice(past, m)
+        for layer in range(start, stop):
+            w = self.blocks[layer]
+            a_in = ag._rms_rows(x, w.attn_gain.data, cfg.norm_eps)[0]
+            q = ag._rope_rotate((a_in @ w.wq.data).reshape(n, h, hd), cos, sin)
+            k = ag._rope_rotate((a_in @ w.wk.data).reshape(n, h, hd), cos, sin)
+            cache.write(layer, rows, k.reshape(n, d), a_in @ w.wv.data)
+            keys = cache.keys[layer, :m].reshape(m, h, hd).transpose(1, 0, 2)
+            values = cache.values[layer, :m].reshape(m, h, hd).transpose(1, 0, 2)
+            attn = ag._attention_rows(q.transpose(1, 0, 2), keys, values, mask)[0]
+            x = x + attn.transpose(1, 0, 2).reshape(n, d) @ w.wo.data
+
+            m_in = ag._rms_rows(x, w.mlp_gain.data, cfg.norm_eps)[0]
+            x = x + ag._silu_rows(m_in @ w.up.data)[0] @ w.down.data
         return x
 
     def forward_range(
@@ -287,13 +310,15 @@ class Model:
         stop: int,
         positions,
         cache: Optional[KvCache] = None,
-        write_cache: bool = False,
     ) -> Tensor:
         """Apply blocks [start, stop) in order; empty range is the identity.
 
         ``positions`` are the absolute positions of the state rows and must
-        be strictly increasing; with a cache they must also be contiguous,
-        and every cached slot below them must be Filled at each layer.
+        be strictly increasing. Without a cache the blocks run on the
+        training path. With one the pass is inference only (its result
+        carries no graph): positions must be contiguous, every cached slot
+        below them must be Filled at each layer, and each layer writes its
+        keys and values for them.
         """
         if not 0 <= start <= stop <= self.config.n_layers:
             raise ConfigError(
@@ -316,8 +341,14 @@ class Model:
                 raise ConfigError("cache-backed passes require contiguous positions")
             if states.ndim != 2:
                 raise ConfigError("cache-backed passes operate on a single stream")
+            if positions.size and positions[0] < 0:
+                raise ConfigError(f"position {int(positions[0])} is negative")
+            if start == stop:
+                return states
+            return Tensor(self._cached_forward(states.data, start, stop, int(positions[0]), cache))
+        mask = _causal_mask(n, 0, states.dtype)
         for layer in range(start, stop):
-            states = self._block_forward(layer, states, positions, cache, write_cache)
+            states = self._block_forward(layer, states, positions, mask)
         return states
 
     def lm_head(self, states: Tensor) -> Tensor:

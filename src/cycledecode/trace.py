@@ -8,45 +8,72 @@ makes the cost model exactly checkable on CPU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 from .errors import ContractError
 from .model import LayerPartition
 
 RANGE_NAMES = ("encoding", "thinking", "decoding")
+_RANGE_IDS = {name: i for i, name in enumerate(RANGE_NAMES)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     pass_index: int
     range_name: str
-    positions: tuple[int, ...]
+    positions: range
 
 
-@dataclass
 class InvocationTrace:
-    entries: list[TraceEntry] = field(default_factory=list)
+    """Entries stored as (pass, range id, start, stop) columns.
+
+    Cache-backed passes run over contiguous positions, so an entry's
+    positions are the half-open interval [start, stop).
+    """
+
+    def __init__(self):
+        self._pass = array("q")
+        self._range = array("q")
+        self._start = array("q")
+        self._stop = array("q")
 
     def add(self, pass_index: int, range_name: str, positions) -> None:
-        if range_name not in RANGE_NAMES:
+        range_id = _RANGE_IDS.get(range_name)
+        if range_id is None:
             raise ContractError(f"unknown layer range {range_name!r}")
-        positions = tuple(int(p) for p in positions)
+        positions = [int(p) for p in positions]
         if any(b <= a for a, b in zip(positions, positions[1:])):
             raise ContractError("trace positions must be strictly increasing")
-        if self.entries and pass_index < self.entries[-1].pass_index:
+        if positions and positions[-1] - positions[0] != len(positions) - 1:
+            raise ContractError("trace positions must be contiguous")
+        if self._pass and pass_index < self._pass[-1]:
             raise ContractError("trace pass indices must be monotone")
-        self.entries.append(TraceEntry(pass_index, range_name, positions))
+        start = positions[0] if positions else 0
+        self._pass.append(pass_index)
+        self._range.append(range_id)
+        self._start.append(start)
+        self._stop.append(start + len(positions))
+
+    @property
+    def entries(self) -> list[TraceEntry]:
+        """The entries in order, built afresh on each access."""
+        return [
+            TraceEntry(p, RANGE_NAMES[r], range(a, b))
+            for p, r, a, b in zip(self._pass, self._range, self._start, self._stop)
+        ]
 
     def pass_count(self) -> int:
-        return len({e.pass_index for e in self.entries})
+        return len(set(self._pass))
 
     def range_pass_count(self, *range_names: str) -> int:
         """Number of distinct passes that traverse any of the given ranges."""
-        return len({e.pass_index for e in self.entries if e.range_name in range_names})
+        ids = {_RANGE_IDS[name] for name in range_names if name in _RANGE_IDS}
+        return len({p for p, r in zip(self._pass, self._range) if r in ids})
 
     def layer_invocations(self, partition: LayerPartition) -> int:
         ranges = partition.named_ranges()
-        return sum(len(ranges[e.range_name]) for e in self.entries)
+        return sum(len(ranges[name]) * self._range.count(i) for i, name in enumerate(RANGE_NAMES))
 
     def summary(self) -> list[dict]:
         return [

@@ -226,9 +226,9 @@ def test_criterion_4_refill_exactness():
             with no_grad():
                 h = model.embed_tokens(realized)
                 h = model.forward_range(h, part.encoding.start, part.encoding.stop,
-                                        pos, oracle, True)
+                                        pos, oracle)
                 model.forward_range(h, part.thinking.start, part.thinking.stop,
-                                    pos, oracle, True)
+                                    pos, oracle)
             for layer in list(part.encoding) + list(part.thinking):
                 filled = state.cache.occupancy[layer] == SlotState.FILLED
                 for p in np.nonzero(filled)[0]:

@@ -12,7 +12,7 @@ from cycledecode.bench import (
     throughput_bench,
 )
 from cycledecode.decoding import SamplerConfig, generate
-from cycledecode.errors import ConfigError
+from cycledecode.errors import ConfigError, ContractError
 from cycledecode.masking import CyclePlan
 from cycledecode.model import LayerPartition, Model
 from cycledecode.trace import InvocationTrace
@@ -52,6 +52,37 @@ def trace_for(schedule, partition):
             if len(partition.named_ranges()[name]):
                 trace.add(idx, name, positions)
     return trace
+
+
+class TestInvocationTrace:
+    def test_entries_and_summary_read_the_columns(self):
+        trace = InvocationTrace()
+        trace.add(0, "encoding", np.arange(4))
+        trace.add(0, "decoding", range(4))
+        trace.add(1, "decoding", [4])
+        entries = trace.entries
+        assert [(e.pass_index, e.range_name, e.positions) for e in entries] == [
+            (0, "encoding", range(0, 4)), (0, "decoding", range(0, 4)), (1, "decoding", range(4, 5)),
+        ]
+        entries.clear()  # a fresh list each time: the trace is unchanged
+        assert len(trace.entries) == 3
+        assert trace.summary()[2] == {"pass": 1, "range": "decoding", "positions": [4]}
+        assert trace.pass_count() == 2
+        assert trace.range_pass_count("encoding") == 1
+        assert trace.layer_invocations(LayerPartition.from_counts(2, 1, 3)) == 2 + 3 + 3
+
+    @pytest.mark.parametrize("pass_index,name,positions", [
+        (1, "thinking", [3, 5]),      # not contiguous
+        (1, "thinking", [4, 3]),      # not increasing
+        (1, "refill", [0]),           # unknown range
+        (0, "thinking", [7]),         # pass index goes back below 1
+    ])
+    def test_bad_entry_rejected(self, pass_index, name, positions):
+        trace = InvocationTrace()
+        trace.add(1, "decoding", [2])
+        with pytest.raises(ContractError):
+            trace.add(pass_index, name, positions)
+        assert len(trace.entries) == 1
 
 
 class TestMeasurePlt:

@@ -1,8 +1,11 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import cycledecode as cd
-from cycledecode.autograd import no_grad
+from cycledecode.autograd import Tensor, no_grad
 from cycledecode.decoding import (
     SamplerConfig,
     cycle_boundary_pass,
@@ -33,8 +36,8 @@ def enc_think_kv_oracle(model, tokens):
     pos = np.arange(len(tokens))
     with no_grad():
         h = model.embed_tokens(np.asarray(tokens))
-        h = model.forward_range(h, part.encoding.start, part.encoding.stop, pos, cache, True)
-        model.forward_range(h, part.thinking.start, part.thinking.stop, pos, cache, True)
+        h = model.forward_range(h, part.encoding.start, part.encoding.stop, pos, cache)
+        model.forward_range(h, part.thinking.start, part.thinking.stop, pos, cache)
     return cache
 
 
@@ -130,7 +133,7 @@ class TestLightPass:
         with no_grad():
             h = model.embed_tokens(np.array([token]))
             h = model.forward_range(h, part.decoding.start, part.decoding.stop,
-                                    np.array([5]), mirror, True)
+                                    np.array([5]), mirror)
             want = model.lm_head(h).data[0]
         assert np.abs(logits - want).max() < 1e-6
 
@@ -344,10 +347,9 @@ class TestCacheIntegrity:
         light_pass(model, state, token)
         # a full-range pass over position 6 would read position 5 at
         # encoding layers, where it is PendingRefill
-        from cycledecode.autograd import Tensor
         x = Tensor(np.zeros((1, 32), dtype=np.float32))
         with pytest.raises(CacheIntegrityError):
-            model.forward_range(x, 0, 6, np.array([6]), state.cache, False)
+            model.forward_range(x, 0, 6, np.array([6]), state.cache)
 
     def test_fuzzed_generation_never_trips_integrity(self):
         rng = np.random.default_rng(5)
@@ -359,3 +361,71 @@ class TestCacheIntegrity:
             report, state = generate(model, ctx_tokens(int(rng.integers(1, 10))), gen,
                                      plan, SamplerConfig())
             state.check_invariants(model)
+
+
+class TestInferenceKernel:
+    @staticmethod
+    def count_tensors(monkeypatch, fn, *args):
+        made = []
+        init = Tensor.__init__
+
+        def counting_init(obj, *a, **k):
+            made.append(1)
+            init(obj, *a, **k)
+
+        with monkeypatch.context() as m:
+            m.setattr(Tensor, "__init__", counting_init)
+            fn(*args)
+        return len(made)
+
+    @pytest.mark.parametrize("variant", ["embedding", "encoding"])
+    def test_pass_tensor_count_independent_of_depth(self, monkeypatch, variant):
+        # embedding, one result per range call, and the lm_head's two ops
+        counts = []
+        for n_enc, n_think, n_dec in [(1, 1, 1), (3, 2, 4)]:
+            model = make_model(n_layers=n_enc + n_think + n_dec, n_encoding=n_enc,
+                               n_thinking=n_think, n_decoding=n_dec)
+            plan = CyclePlan(tau_train=2, tau_infer=2, variant=variant)
+            state, token, _ = prefill(model, ctx_tokens(5), plan)
+            light = self.count_tensors(monkeypatch, light_pass, model, state, token)
+            boundary = self.count_tensors(monkeypatch, cycle_boundary_pass, model, state, token)
+            counts.append((light, boundary))
+        assert counts[0] == counts[1]
+        assert counts[0][0] <= 5 and counts[0][1] <= 8
+
+    @pytest.mark.parametrize("tau", [1, 4])
+    def test_collected_logits_are_nearly_all_retained_bytes(self, tau):
+        # 480 tokens from a 16-token prompt, as in the decode benchmark
+        model = make_model(n_layers=3, n_encoding=0, n_thinking=2, n_decoding=1, max_seq_len=512)
+        plan = CyclePlan(tau_train=2, tau_infer=tau)
+        context = ctx_tokens(16)
+        generate(model, context, 480, plan, collect_logits=True)  # grows the RoPE table
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = generate(model, context, 480, plan, collect_logits=True)[0]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert report.logit_rows.shape == (480, 257)
+        assert report.logit_rows.dtype == np.float32
+        assert retained <= 1.08 * report.logit_rows.nbytes
+
+    def test_early_stop_copies_logit_rows_down(self):
+        model = make_model()
+        plan = CyclePlan(tau_train=2, tau_infer=2, variant="embedding")
+        full, _ = generate(model, ctx_tokens(4), 12, plan, collect_logits=True)
+        stopped, _ = generate(model, ctx_tokens(4), 12, plan, stop_token=full.tokens[4],
+                              collect_logits=True)
+        assert full.logit_rows.shape == (12, 257)
+        assert stopped.logit_rows.shape == (5, 257) and stopped.logit_rows.base is None
+        assert np.array_equal(stopped.logit_rows, full.logit_rows[:5])
+
+    def test_truncated_generation_fills_its_logit_rows(self):
+        model = make_model(max_seq_len=10)
+        plan = CyclePlan(tau_train=2, tau_infer=2, variant="embedding")
+        report, _ = generate(model, ctx_tokens(8), 10, plan, collect_logits=True)
+        # positions 7..9 produce tokens: min(10, 10 - 8 + 1) rows
+        assert report.truncated and len(report.tokens) == 3
+        assert report.logit_rows.shape == (3, 257)

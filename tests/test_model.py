@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -7,21 +10,21 @@ import cycledecode.checkpoint as checkpoint
 from cycledecode.checkpoint import load_checkpoint, save_checkpoint
 from cycledecode.errors import CacheIntegrityError, ChecksumError, ConfigError, DataError
 from cycledecode.model import KvCache, Model
-from cycledecode.runconfig import RunConfig
-from cycledecode.decoding import SamplerConfig
-from cycledecode.masking import CyclePlan
+from cycledecode.runconfig import RunConfig, dump_run_config
+from cycledecode.decoding import SamplerConfig, generate
+from cycledecode.masking import CyclePlan, masked_forward
 from cycledecode.training import TrainConfig
 
 from conftest import tiny_config
 
 
-def full_forward(model, tokens, cache=None, write=False, positions=None):
+def full_forward(model, tokens, cache=None, positions=None):
     tokens = np.asarray(tokens)
     if positions is None:
         positions = np.arange(tokens.shape[-1])
     with cd.no_grad():
         h = model.embed_tokens(tokens)
-        h = model.forward_range(h, 0, model.config.n_layers, positions, cache, write)
+        h = model.forward_range(h, 0, model.config.n_layers, positions, cache)
         return model.lm_head(h).data
 
 
@@ -104,17 +107,48 @@ class TestForwardRange:
         assert np.array_equal(out.data, x.data)
 
     def test_incremental_matches_full_recompute(self, tiny_model):
-        # k=1 cached pass over position p equals column p of a full pass
+        # Cached passes (the inference kernel) against the no-cache Tensor
+        # path, to 1e-5. First single- and multi-row passes through every
+        # layer: the rows of pass [a, b) equal rows a..b-1 of a full pass.
         tokens = np.random.default_rng(2).integers(0, 257, size=7)
         full = full_forward(tiny_model, tokens)
-        cache = tiny_model.new_cache()
-        rows = []
-        with cd.no_grad():
-            for p, tok in enumerate(tokens):
-                h = tiny_model.embed_tokens(np.array([tok]))
-                h = tiny_model.forward_range(h, 0, 6, np.array([p]), cache, write_cache=True)
-                rows.append(tiny_model.lm_head(h).data[0])
-        assert np.abs(np.stack(rows) - full).max() < 1e-5
+        for chunks in ([1] * 7, [3, 1, 2, 1], [1, 4, 2], [7]):
+            cache = tiny_model.new_cache()
+            rows = []
+            with cd.no_grad():
+                start = 0
+                for size in chunks:
+                    pos = np.arange(start, start + size)
+                    h = tiny_model.embed_tokens(tokens[pos])
+                    h = tiny_model.forward_range(h, 0, 6, pos, cache)
+                    rows.append(tiny_model.lm_head(h).data)
+                    start += size
+            assert np.abs(np.concatenate(rows) - full).max() < 1e-5, chunks
+
+        # Then whole generations: a multi-row prefill, light passes and
+        # batched boundary refills, replayed through the no-cache masked
+        # forward, over partitions with empty encoding or thinking ranges,
+        # both variants and tau 1-4.
+        rng = np.random.default_rng(3)
+        for n_enc, n_think, n_dec in [(0, 2, 2), (2, 0, 1), (1, 2, 1), (0, 0, 1), (2, 3, 2)]:
+            for variant in ("embedding", "encoding") if n_enc else ("embedding",):
+                for tau in (1, 2, 3, 4):
+                    case = (n_enc, n_think, n_dec, variant, tau)
+                    model = Model(tiny_config(
+                        n_layers=n_enc + n_think + n_dec, n_encoding=n_enc,
+                        n_thinking=n_think, n_decoding=n_dec, seed=int(rng.integers(1000)),
+                    ))
+                    plan = CyclePlan(tau_train=2, tau_infer=tau, variant=variant)
+                    context = rng.integers(0, 257, size=int(rng.integers(2, 9)))
+                    report, _ = generate(model, context, 2 * tau + 3, plan, collect_logits=True)
+                    realized = np.concatenate([context, report.tokens])
+                    with cd.no_grad():
+                        replay = masked_forward(
+                            model, realized, plan, anchor=report.mask_anchor, tau=tau
+                        ).data
+                    n_ctx = len(context)
+                    want = replay[n_ctx - 1 : n_ctx - 1 + len(report.tokens)]
+                    assert np.abs(report.logit_rows - want).max() < 1e-5, case
 
     def test_causality(self, tiny_model):
         tokens = np.random.default_rng(3).integers(0, 257, size=8)
@@ -133,7 +167,7 @@ class TestForwardRange:
     def test_cache_requires_contiguous_positions(self, tiny_model):
         x = Tensor(np.zeros((2, 32), dtype=np.float32))
         with pytest.raises(ConfigError):
-            tiny_model.forward_range(x, 0, 6, np.array([0, 2]), tiny_model.new_cache(), True)
+            tiny_model.forward_range(x, 0, 6, np.array([0, 2]), tiny_model.new_cache())
 
     def test_bad_range_rejected(self, tiny_model):
         x = Tensor(np.zeros((1, 32), dtype=np.float32))
@@ -176,7 +210,23 @@ class TestKvCache:
         x = Tensor(np.zeros((1, 32), dtype=np.float32))
         # position 1 with an empty position 0 below it
         with pytest.raises(CacheIntegrityError):
-            tiny_model.forward_range(x, 0, 1, np.array([1]), cache, True)
+            tiny_model.forward_range(x, 0, 1, np.array([1]), cache)
+
+    def test_refused_pass_leaves_cache_unchanged(self, tiny_model):
+        # Position 4 is pending at the last layer only, so a pass over all
+        # six layers at position 5 is refused at layer 5, after five layers
+        # that could read their past; it must not have written any of them.
+        cache = tiny_model.new_cache()
+        with cd.no_grad():
+            h = tiny_model.embed_tokens(np.arange(5))
+            tiny_model.forward_range(h, 0, 6, np.arange(5), cache)
+        cache.mark_pending([5], 4)
+        before = (cache.occupancy.copy(), cache.keys.copy(), cache.values.copy())
+        x = Tensor(np.zeros((1, 32), dtype=np.float32))
+        with pytest.raises(CacheIntegrityError):
+            tiny_model.forward_range(x, 0, 6, np.array([5]), cache)
+        for now, then in zip((cache.occupancy, cache.keys, cache.values), before):
+            assert np.array_equal(now, then)
 
     def test_length_tracks_highest_occupied(self, tiny_model):
         cache = tiny_model.new_cache()
@@ -307,6 +357,27 @@ class TestCheckpoint:
         _, _, state, _ = load_checkpoint(path)
         assert state["step"] == "1"
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_file_layout_matches_format(self, tmp_path, tiny_model):
+        # The documented layout, built from joined bytes, against the
+        # streamed writer: the same file, byte for byte.
+        opt = cd.AdamW(tiny_model.parameters(), total_steps=10)
+        for _, p in tiny_model.parameters():
+            p.grad = np.full_like(p.data, 0.5)
+        opt.step()
+        run_cfg = make_run_config(tiny_model.config)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model, run_cfg, 1, 10, opt)
+        state = {"step": 1, "tokens_seen": 10, "has_optimizer": True, "optimizer_step_count": 1}
+        config = dump_run_config(run_cfg, state).encode("utf-8")
+        first, second = opt.state_arrays()
+        arrays = [t.data for _, t in tiny_model.parameters()] + list(first) + list(second)
+        payload = b"".join(a.astype("<f4").tobytes() for a in arrays)
+        want = (
+            b"CYCD" + struct.pack("<II", 1, len(config)) + config + payload
+            + struct.pack("<I", zlib.crc32(config + payload))
+        )
+        assert path.read_bytes() == want
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"
