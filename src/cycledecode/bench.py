@@ -92,7 +92,7 @@ def measure_plt(
     whole number of cycles. The theoretical value uses the light-pass
     layer count of the masking ``variant``.
     """
-    if not trace.entries:
+    if not len(trace):
         raise ConfigError("cannot measure an empty trace")
     if generated_tokens < 1:
         raise ConfigError("generated_tokens must be >= 1")

@@ -34,9 +34,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import autograd as ag
 from .autograd import Tensor, no_grad
 from .errors import ConfigError, ContractError, NumericError
-from .masking import CyclePlan, masked_forward
+from .masking import CyclePlan, masked_hidden
 from .model import KvCache, Model, SlotState
 from .trace import InvocationTrace
 
@@ -78,7 +79,8 @@ class DecodeState:
     pass and always equals ``len(pending_refill)``, which holds each light
     pass's position and base row (the skipped ranges' input at the next
     refill). ``last_token`` is the newest sampled token, which has not
-    been forwarded anywhere yet.
+    been forwarded anywhere yet; ``last_hidden`` is the decoding-range
+    output row whose ``lm_head`` gave its logits.
     """
 
     cache: KvCache
@@ -91,6 +93,7 @@ class DecodeState:
     trace: InvocationTrace = field(default_factory=InvocationTrace)
     pass_index: int = 0
     rng: Optional[np.random.Generator] = None
+    last_hidden: Optional[np.ndarray] = None
 
     @property
     def cycle_phase(self) -> int:
@@ -114,6 +117,51 @@ class DecodeState:
                 raise ContractError("pending positions must be PendingRefill at skipped layers")
 
 
+class LogitRows:
+    """A generation's logit rows, kept as the hidden rows they come from.
+
+    Row j is ``lm_head`` of ``hidden[j]`` under read-only copies of the
+    head weights taken when the rows were made, computed on each access:
+    a kept report holds ``d_model`` floats per token, not ``vocab_size``.
+    Each row is projected on its own, the same single-row product as in
+    the pass that sampled it. Indexing, iteration and ``np.asarray`` give
+    ndarrays.
+    """
+
+    def __init__(self, hidden: np.ndarray, gain: np.ndarray, weight: np.ndarray, eps: float):
+        self.hidden = hidden
+        self._head = (gain, weight, eps)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.hidden.shape[0], self._head[1].shape[1]
+
+    @property
+    def dtype(self):
+        return self.hidden.dtype
+
+    def __len__(self) -> int:
+        return self.hidden.shape[0]
+
+    def __getitem__(self, rows) -> np.ndarray:
+        if isinstance(rows, tuple):
+            raise IndexError("logit rows are indexed by row; index the result for columns")
+        gain, weight, eps = self._head
+        hidden = self.hidden[rows]
+        flat = hidden.reshape(-1, 1, hidden.shape[-1])
+        out = np.empty((flat.shape[0], 1, weight.shape[1]), dtype=hidden.dtype)
+        for h, row in zip(flat, out):
+            np.matmul(ag._rms_rows(h, gain, eps)[0], weight, out=row)
+        return out.reshape(hidden.shape[:-1] + weight.shape[1:])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        logits = self[:]
+        return logits if dtype is None else logits.astype(dtype, copy=False)
+
+    def __iter__(self):
+        return iter(self[:])
+
+
 @dataclass
 class GenerationReport:
     tokens: list[int]
@@ -121,8 +169,8 @@ class GenerationReport:
     tau_infer: int
     mask_anchor: int
     context_length: int
-    # [len(tokens), V]: row j holds the logits that produced tokens[j]
-    logit_rows: Optional[np.ndarray] = None
+    # len(tokens) rows: row j holds the logits that produced tokens[j]
+    logit_rows: Optional[LogitRows] = None
     truncated: bool = False
     message: str = ""
 
@@ -130,6 +178,12 @@ class GenerationReport:
 def _trace_range(state: DecodeState, model: Model, name: str, positions) -> None:
     if len(model.partition.range_of(name)) > 0:
         state.trace.add(state.pass_index, name, positions)
+
+
+def _emit(model: Model, state: DecodeState, h_out: Tensor) -> np.ndarray:
+    """Logits of a pass's single output row, which is kept as ``last_hidden``."""
+    state.last_hidden = h_out.data[0]
+    return model.lm_head(h_out).data[0]
 
 
 def prefill(
@@ -140,7 +194,7 @@ def prefill(
 ) -> tuple[DecodeState, int, np.ndarray]:
     """Run the whole context through all ranges and emit the first token.
 
-    This is the initial full pass of the first cycle: ``masked_forward``
+    This is the initial full pass of the first cycle: ``masked_hidden``
     over the context, writing a fresh cache, with the cyclical mask at
     ``tau_infer`` anchored so the final context position is a cycle start.
     Returns the new state, the sampled token, and its logits row.
@@ -163,16 +217,17 @@ def prefill(
         rng=np.random.default_rng(sampler.seed),
     )
     with no_grad():
-        logits = masked_forward(
+        h_out = masked_hidden(
             model, context, plan, anchor=state.mask_anchor, tau=tau, cache=state.cache
-        ).data
+        )
+        logits = _emit(model, state, Tensor(h_out.data[-1:].copy()))
     positions = np.arange(n)
     for name in ("encoding", "thinking", "decoding"):
         _trace_range(state, model, name, positions)
     state.pass_index += 1
-    token = sample(logits[-1], sampler, state.rng)
+    token = sample(logits, sampler, state.rng)
     state.last_token = token
-    return state, token, logits[-1].copy()
+    return state, token, logits
 
 
 def light_pass(model: Model, state: DecodeState, token: int) -> np.ndarray:
@@ -207,13 +262,13 @@ def light_pass(model: Model, state: DecodeState, token: int) -> np.ndarray:
             base, part.decoding.start, part.decoding.stop, positions, state.cache
         )
         _trace_range(state, model, "decoding", positions)
-        logits = model.lm_head(h_out).data
+        logits = _emit(model, state, h_out)
 
     state.cache.mark_pending(skipped, p)
     state.pending_refill.append((p, base.data[0].copy()))
     state.next_position = p + 1
     state.pass_index += 1
-    return logits[0]
+    return logits
 
 
 def cycle_boundary_pass(model: Model, state: DecodeState, last_token: int) -> np.ndarray:
@@ -269,12 +324,12 @@ def cycle_boundary_pass(model: Model, state: DecodeState, last_token: int) -> np
             decode_in, part.decoding.start, part.decoding.stop, np.array([p]), state.cache
         )
         _trace_range(state, model, "decoding", [p])
-        logits = model.lm_head(h_out).data
+        logits = _emit(model, state, h_out)
 
     state.pending_refill.clear()
     state.next_position = p + 1
     state.pass_index += 1
-    return logits[0]
+    return logits
 
 
 def _stack_rows(rows: list[np.ndarray], dtype) -> Tensor:
@@ -300,21 +355,19 @@ def generate(
     if max_new_tokens < 1:
         raise ConfigError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
     sampler = sampler or SamplerConfig()
-    state, token, first_logits = prefill(model, context, plan, sampler)
+    state, token, _ = prefill(model, context, plan, sampler)
     n_ctx = int(np.asarray(context).reshape(-1).shape[0])
     tokens = [token]
-    logit_rows = None
     if collect_logits:
         capacity = min(max_new_tokens, model.config.max_seq_len - n_ctx + 1)
-        logit_rows = np.empty((capacity, first_logits.shape[0]), dtype=first_logits.dtype)
-        logit_rows[0] = first_logits
+        hidden = np.empty((capacity, state.last_hidden.shape[0]), dtype=state.last_hidden.dtype)
+        hidden[0] = state.last_hidden
     report = GenerationReport(
         tokens=tokens,
         trace=state.trace,
         tau_infer=state.tau_infer,
         mask_anchor=state.mask_anchor,
         context_length=n_ctx,
-        logit_rows=logit_rows,
     )
     stopped = stop_token is not None and token == stop_token
     while not stopped and len(tokens) < max_new_tokens:
@@ -332,9 +385,11 @@ def generate(
         token = sample(logits, sampler, state.rng)
         state.last_token = token
         if collect_logits:
-            logit_rows[len(tokens)] = logits
+            hidden[len(tokens)] = state.last_hidden
         tokens.append(token)
         stopped = stop_token is not None and token == stop_token
-    if collect_logits and len(tokens) < logit_rows.shape[0]:
-        report.logit_rows = logit_rows[: len(tokens)].copy()
+    if collect_logits:
+        if len(tokens) < hidden.shape[0]:
+            hidden = hidden[: len(tokens)].copy()
+        report.logit_rows = LogitRows(hidden, *model.frozen_head(), model.config.norm_eps)
     return report, state

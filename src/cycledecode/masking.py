@@ -71,16 +71,30 @@ def masked_forward(
     plan: CyclePlan,
     anchor: Optional[int] = None,
     tau: Optional[int] = None,
-    cache: Optional[KvCache] = None,
 ) -> Tensor:
     """Full training-style forward pass over a sequence (or batch of them).
 
-    Returns logits of shape [n, V] (or [B, n, V]). ``anchor`` and ``tau``
-    default to the plan's training settings; the inference replay oracle
-    and the decoder's prefill override them to align with a realized
-    generation. With a ``cache`` (a single sequence only) every range
-    runs on the inference kernel and writes its KV entries for positions
-    0..n-1 into it; the result then carries no graph.
+    Returns logits of shape [n, V] (or [B, n, V]): ``masked_hidden``, then
+    the final norm and the vocabulary projection.
+    """
+    return model.lm_head(masked_hidden(model, tokens, plan, anchor, tau))
+
+
+def masked_hidden(
+    model: Model,
+    tokens,
+    plan: CyclePlan,
+    anchor: Optional[int] = None,
+    tau: Optional[int] = None,
+    cache: Optional[KvCache] = None,
+) -> Tensor:
+    """The decoding range's output [n, d] (or [B, n, d]) under the cycle mask.
+
+    ``anchor`` and ``tau`` default to the plan's training settings; the
+    inference replay oracle and the decoder's prefill override them to
+    align with a realized generation. With a ``cache`` (a single sequence
+    only) every range runs on the inference kernel and writes its KV
+    entries for positions 0..n-1 into it; the result then carries no graph.
     """
     plan.validate(model.config)
     tokens = np.asarray(tokens)
@@ -103,5 +117,4 @@ def masked_forward(
     base = h_emb if plan.variant == "embedding" else h_enc
     h_masked = add(base, mul(h_think, mask_col))
 
-    h_out = model.forward_range(h_masked, part.decoding.start, part.decoding.stop, positions, cache)
-    return model.lm_head(h_out)
+    return model.forward_range(h_masked, part.decoding.start, part.decoding.stop, positions, cache)

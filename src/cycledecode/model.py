@@ -208,6 +208,7 @@ class Model:
         self.lm_head_w = Tensor(
             rng.normal(0.0, 0.02, size=(d, v)).astype(dtype), requires_grad=True
         )
+        self._frozen_head: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         """Named parameters in the fixed checkpoint order."""
@@ -354,3 +355,17 @@ class Model:
     def lm_head(self, states: Tensor) -> Tensor:
         """Final norm, then projection to vocabulary logits."""
         return ag.matmul(ag.rms_norm(states, self.final_gain, self.config.norm_eps), self.lm_head_w)
+
+    def frozen_head(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only copies of the final-norm gain and the ``lm_head`` weight,
+        shared by every caller until either weight changes."""
+        live = (self.final_gain.data, self.lm_head_w.data)
+        frozen = self._frozen_head
+        if frozen is None or not all(
+            f.shape == w.shape and np.array_equal(f, w) for f, w in zip(frozen, live)
+        ):
+            frozen = tuple(w.copy() for w in live)
+            for f in frozen:
+                f.flags.writeable = False
+            self._frozen_head = frozen
+        return frozen

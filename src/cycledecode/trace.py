@@ -55,6 +55,9 @@ class InvocationTrace:
         self._start.append(start)
         self._stop.append(start + len(positions))
 
+    def __len__(self) -> int:
+        return len(self._pass)
+
     @property
     def entries(self) -> list[TraceEntry]:
         """The entries in order, built afresh on each access."""

@@ -65,7 +65,7 @@ class TestInvocationTrace:
             (0, "encoding", range(0, 4)), (0, "decoding", range(0, 4)), (1, "decoding", range(4, 5)),
         ]
         entries.clear()  # a fresh list each time: the trace is unchanged
-        assert len(trace.entries) == 3
+        assert len(trace.entries) == len(trace) == 3
         assert trace.summary()[2] == {"pass": 1, "range": "decoding", "positions": [4]}
         assert trace.pass_count() == 2
         assert trace.range_pass_count("encoding") == 1
@@ -82,7 +82,7 @@ class TestInvocationTrace:
         trace.add(1, "decoding", [2])
         with pytest.raises(ContractError):
             trace.add(pass_index, name, positions)
-        assert len(trace.entries) == 1
+        assert len(trace) == 1
 
 
 class TestMeasurePlt:

@@ -394,9 +394,10 @@ class TestInferenceKernel:
         assert counts[0][0] <= 5 and counts[0][1] <= 8
 
     @pytest.mark.parametrize("tau", [1, 4])
-    def test_collected_logits_are_nearly_all_retained_bytes(self, tau):
-        # 480 tokens from a 16-token prompt, as in the decode benchmark
-        model = make_model(n_layers=3, n_encoding=0, n_thinking=2, n_decoding=1, max_seq_len=512)
+    def test_retained_bytes_are_the_hidden_rows(self, tau):
+        # 480 tokens from a 16-token prompt at the decode benchmark's width
+        model = make_model(n_layers=3, n_encoding=0, n_thinking=2, n_decoding=1,
+                           d_model=128, n_heads=4, max_seq_len=512)
         plan = CyclePlan(tau_train=2, tau_infer=tau)
         context = ctx_tokens(16)
         generate(model, context, 480, plan, collect_logits=True)  # grows the RoPE table
@@ -408,9 +409,53 @@ class TestInferenceKernel:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert report.logit_rows.shape == (480, 257)
-        assert report.logit_rows.dtype == np.float32
-        assert retained <= 1.08 * report.logit_rows.nbytes
+        rows = report.logit_rows
+        assert rows.shape == (480, 257) and rows.dtype == np.float32
+        assert np.asarray(rows).shape == (480, 257)
+        # d_model floats per token plus the trace, well under the dense
+        # float32 logits (480 x 257 x 4 bytes)
+        assert rows.hidden.nbytes == 480 * 128 * 4
+        assert retained <= 0.6 * 480 * 257 * 4
+
+    def test_rows_match_the_sampled_logits(self, monkeypatch):
+        import cycledecode.decoding as decoding
+
+        seen = []
+        real_sample = decoding.sample
+
+        def recording_sample(logits, *args):
+            seen.append(np.array(logits))
+            return real_sample(logits, *args)
+
+        monkeypatch.setattr(decoding, "sample", recording_sample)
+        for variant in ("embedding", "encoding"):
+            seen.clear()
+            model = make_model()
+            plan = CyclePlan(tau_train=2, tau_infer=3, variant=variant)
+            report, _ = generate(model, ctx_tokens(6), 10, plan, collect_logits=True)
+            # the same single-row head product as each pass: equal bits
+            assert np.array_equal(np.asarray(report.logit_rows), np.stack(seen))
+            for j, row in enumerate(report.logit_rows):
+                assert np.array_equal(row, report.logit_rows[j])
+                assert int(np.argmax(row)) == report.tokens[j]
+            with pytest.raises(IndexError):
+                report.logit_rows[0, 1]
+
+    def test_rows_survive_a_weight_update(self):
+        model = make_model()
+        plan = CyclePlan(tau_train=2, tau_infer=2)
+        report, _ = generate(model, ctx_tokens(4), 6, plan, collect_logits=True)
+        before = np.asarray(report.logit_rows)
+        gain, weight = model.frozen_head()
+        assert model.frozen_head()[1] is weight and not weight.flags.writeable
+        model.lm_head_w.data += 0.5  # in place, as AdamW updates
+        model.final_gain.data *= 2.0
+        assert np.array_equal(np.asarray(report.logit_rows), before)
+        assert model.frozen_head()[1] is not weight
+        again, _ = generate(model, ctx_tokens(4), 6, plan, collect_logits=True)
+        with no_grad():
+            want = model.lm_head(Tensor(again.logit_rows.hidden)).data
+        assert np.abs(np.asarray(again.logit_rows) - want).max() < 1e-6
 
     def test_early_stop_copies_logit_rows_down(self):
         model = make_model()
@@ -419,8 +464,8 @@ class TestInferenceKernel:
         stopped, _ = generate(model, ctx_tokens(4), 12, plan, stop_token=full.tokens[4],
                               collect_logits=True)
         assert full.logit_rows.shape == (12, 257)
-        assert stopped.logit_rows.shape == (5, 257) and stopped.logit_rows.base is None
-        assert np.array_equal(stopped.logit_rows, full.logit_rows[:5])
+        assert stopped.logit_rows.shape == (5, 257) and stopped.logit_rows.hidden.base is None
+        assert np.array_equal(stopped.logit_rows.hidden, full.logit_rows.hidden[:5])
 
     def test_truncated_generation_fills_its_logit_rows(self):
         model = make_model(max_seq_len=10)

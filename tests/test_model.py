@@ -148,7 +148,7 @@ class TestForwardRange:
                         ).data
                     n_ctx = len(context)
                     want = replay[n_ctx - 1 : n_ctx - 1 + len(report.tokens)]
-                    assert np.abs(report.logit_rows - want).max() < 1e-5, case
+                    assert np.abs(np.asarray(report.logit_rows) - want).max() < 1e-5, case
 
     def test_causality(self, tiny_model):
         tokens = np.random.default_rng(3).integers(0, 257, size=8)
