@@ -23,7 +23,8 @@ start; the realized sequence then follows exactly the training-time
 masking rule, which is what makes teacher-forced replay reproduce the
 inference logits.
 
-A Model is never mutated here and may be shared across streams; each
+A Model's weights are never mutated here (``Model.frozen_head`` only
+caches copies of them) and a Model may be shared across streams; each
 DecodeState (and its cache) belongs to exactly one generation stream.
 """
 
