@@ -14,7 +14,7 @@ inference kernel call, so each formula is written once.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -272,22 +272,6 @@ def transpose(a: Tensor, axes: tuple) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
-    parts = [_as_tensor(t) for t in tensors]
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if part.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                part._accumulate(g[tuple(idx)])
-
-    return _make(data, tuple(parts), backward)
-
-
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -298,12 +282,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         a._accumulate(np.broadcast_to(g, a.data.shape).copy(), owned=True)
 
     return _make(data, (a,), backward)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def _softmax_rows(x: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarray:

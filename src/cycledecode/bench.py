@@ -6,12 +6,12 @@ one full pass of L layers plus tau-1 reuse passes per cycle gives
     (L + (tau - 1) * reuse) / (tau * L)
 
 per generated token, where ``reuse`` is the layer count a light pass
-traverses (the decoding range, plus the encoding range in the encoding
-variant). The measured counterpart is read off an invocation trace in
-exact rational arithmetic, so theory and measurement can be compared with
-equality rather than tolerance. The report holds counts and fractions
-only, so it is deterministic; wall-clock speed is measured by the
-benchmark harness in ``perfbench/``.
+traverses: the variant's base ranges plus the decoding range
+(``masking.Route.light``). The measured counterpart is read off an
+invocation trace in exact rational arithmetic, so theory and measurement
+can be compared with equality rather than tolerance. The report holds
+counts and fractions only, so it is deterministic; wall-clock speed is
+measured by the benchmark harness in ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .decoding import generate
 from .errors import ConfigError
-from .masking import VARIANTS, CyclePlan
+from .masking import CyclePlan, route_of
 from .model import LayerPartition, Model
 from .trace import InvocationTrace
 
@@ -52,9 +52,6 @@ class ScalingFit:
     intercept: float
     r_squared: float
 
-    def predict(self, tokens: float) -> float:
-        return self.intercept + self.slope * np.log10(tokens)
-
 
 def plt_theoretical(n_layers: int, reuse: int, tau: int) -> Fraction:
     """Average fraction of layers traversed per generated token."""
@@ -66,13 +63,8 @@ def plt_theoretical(n_layers: int, reuse: int, tau: int) -> Fraction:
 
 
 def reuse_layer_count(partition: LayerPartition, variant: str) -> int:
-    """Layers traversed by a light pass under the given masking variant."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    reuse = len(partition.decoding)
-    if variant == "encoding":
-        reuse += len(partition.encoding)
-    return reuse
+    """Layers traversed by a light pass: the variant's base ranges, then decoding."""
+    return len(partition.layers(route_of(variant).light))
 
 
 def measure_plt(

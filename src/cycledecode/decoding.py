@@ -1,21 +1,22 @@
 """Cycle-based generation with cyclical KV-cache refilling.
 
-Generation proceeds in cycles of ``tau_infer`` tokens. The first pass of a
-cycle runs every layer range; the remaining ``tau_infer - 1`` passes run
-only the reuse range (decoding layers, plus encoding layers in the
-encoding variant) and leave the skipped layers' KV slots marked
-PendingRefill. The next cycle's first pass batches all pending tokens
-through the skipped ranges, restoring their KV entries before any later
-attention can need them, so no verification step is required downstream.
+Generation proceeds in cycles of ``tau_infer`` tokens, each pass following
+the plan's ``Route`` (``masking.ROUTES``). The first pass of a cycle runs
+every layer range; the remaining ``tau_infer - 1`` light passes run only
+the route's base ranges and then decoding, and leave the skipped ranges'
+KV slots marked PendingRefill. The next cycle's first pass batches all
+pending tokens through the skipped ranges, restoring their KV entries
+before any later attention can need them, so no verification step is
+required downstream.
 
 Pass schedule for a cycle length of 3 over context x0..x4:
 
     pass 0  (prefill)   x0..x4 through all ranges, emits x5
-    pass 1  (light)     x5 through the reuse range only, emits x6
-    pass 2  (light)     x6 through the reuse range only, emits x7
-    pass 3  (boundary)  x5,x6,x7 batched through the skipped ranges
-                        (refilling x5, x6 and filling x7), then x7 alone
-                        through the decoding range, emits x8
+    pass 1  (light)     x5 through the base ranges and decoding, emits x6
+    pass 2  (light)     x6 through the base ranges and decoding, emits x7
+    pass 3  (boundary)  x7 through the base ranges; x5,x6,x7 batched
+                        through the skipped ranges (refilling x5 and x6,
+                        filling x7); x7 alone through decoding, emits x8
     ...
 
 The cycle mask anchor is chosen so the final context position is a cycle
@@ -38,8 +39,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor, no_grad
 from .errors import ConfigError, ContractError, NumericError
-from .masking import CyclePlan, masked_hidden
-from .model import KvCache, Model, SlotState
+from .masking import CyclePlan, masked_hidden, route_of
+from .model import RANGE_NAMES, KvCache, Model, SlotState
 from .trace import InvocationTrace
 
 
@@ -101,20 +102,17 @@ class DecodeState:
         return len(self.pending_refill)
 
     def check_invariants(self, model: Model) -> None:
-        part = model.partition
+        route = route_of(self.plan.variant)
         boundary = self.next_position - len(self.pending_refill)
         occ = self.cache.occupancy
         if not np.all(occ[:, :boundary] == SlotState.FILLED):
             raise ContractError("settled positions must be Filled at all layers")
-        skipped = (
-            list(part.encoding) + list(part.thinking)
-            if self.plan.variant == "embedding"
-            else list(part.thinking)
-        )
+        light = model.partition.layers(route.light)
+        skipped = model.partition.layers(route.skipped)
         for pos, _ in self.pending_refill:
-            if not np.all(occ[list(part.decoding), pos] == SlotState.FILLED):
-                raise ContractError("pending positions must be Filled at decoding layers")
-            if skipped and not np.all(occ[skipped, pos] == SlotState.PENDING_REFILL):
+            if not np.all(occ[light, pos] == SlotState.FILLED):
+                raise ContractError("pending positions must be Filled at light-pass layers")
+            if not np.all(occ[skipped, pos] == SlotState.PENDING_REFILL):
                 raise ContractError("pending positions must be PendingRefill at skipped layers")
 
 
@@ -176,9 +174,18 @@ class GenerationReport:
     message: str = ""
 
 
-def _trace_range(state: DecodeState, model: Model, name: str, positions) -> None:
-    if len(model.partition.range_of(name)) > 0:
-        state.trace.add(state.pass_index, name, positions)
+def _trace(model: Model, state: DecodeState, names, positions) -> None:
+    """One trace entry for the current pass per named range that has layers."""
+    for name in names:
+        if model.partition.range_of(name):
+            state.trace.add(state.pass_index, name, positions)
+
+
+def _forward(model: Model, state: DecodeState, x: Tensor, names, positions) -> Tensor:
+    """``x`` through the named ranges in order on the state's cache, traced."""
+    x = model.forward_ranges(x, names, positions, state.cache)
+    _trace(model, state, names, positions)
+    return x
 
 
 def _emit(model: Model, state: DecodeState, h_out: Tensor) -> np.ndarray:
@@ -222,9 +229,7 @@ def prefill(
             model, context, plan, anchor=state.mask_anchor, tau=tau, cache=state.cache
         )
         logits = _emit(model, state, Tensor(h_out.data[-1:].copy()))
-    positions = np.arange(n)
-    for name in ("encoding", "thinking", "decoding"):
-        _trace_range(state, model, name, positions)
+    _trace(model, state, RANGE_NAMES, range(n))
     state.pass_index += 1
     token = sample(logits, sampler, state.rng)
     state.last_token = token
@@ -232,40 +237,30 @@ def prefill(
 
 
 def light_pass(model: Model, state: DecodeState, token: int) -> np.ndarray:
-    """Forward one token through the reuse range only; returns its logits.
+    """Forward one token through the base ranges, then decoding; returns
+    its logits.
 
-    The decoding-range input is the base state alone, the mask-off branch
-    of the training rule. The skipped ranges' KV slots for this position
-    are marked PendingRefill until the next cycle boundary.
+    The decoding input is ``base`` alone, the mask-off branch of the
+    training rule. The skipped ranges' KV slots for this position are
+    marked PendingRefill, and the base row kept for the next cycle
+    boundary to refill them from.
     """
     if state.cycle_phase >= state.tau_infer - 1:
         raise ContractError(
             f"light pass at cycle phase {state.cycle_phase} with tau={state.tau_infer}"
         )
-    part = model.partition
     p = state.next_position
     if p >= model.config.max_seq_len:
         raise ConfigError(f"position {p} exceeds max_seq_len")
+    route = route_of(state.plan.variant)
     positions = np.array([p])
 
     with no_grad():
         h_emb = model.embed_tokens(np.array([token]))
-        if state.plan.variant == "encoding":
-            base = model.forward_range(
-                h_emb, part.encoding.start, part.encoding.stop, positions, state.cache
-            )
-            _trace_range(state, model, "encoding", positions)
-            skipped = part.thinking
-        else:
-            base = h_emb
-            skipped = range(part.encoding.start, part.thinking.stop)
-        h_out = model.forward_range(
-            base, part.decoding.start, part.decoding.stop, positions, state.cache
-        )
-        _trace_range(state, model, "decoding", positions)
-        logits = _emit(model, state, h_out)
+        base = _forward(model, state, h_emb, route.base, positions)
+        logits = _emit(model, state, _forward(model, state, base, ("decoding",), positions))
 
-    state.cache.mark_pending(skipped, p)
+    state.cache.mark_pending(model.partition.layers(route.skipped), p)
     state.pending_refill.append((p, base.data[0].copy()))
     state.next_position = p + 1
     state.pass_index += 1
@@ -275,66 +270,38 @@ def light_pass(model: Model, state: DecodeState, token: int) -> np.ndarray:
 def cycle_boundary_pass(model: Model, state: DecodeState, last_token: int) -> np.ndarray:
     """First pass of a cycle: batched refill, then decode the newest token.
 
-    The pending light-pass tokens plus ``last_token`` go through the
-    skipped ranges together, turning their PendingRefill slots Filled.
-    Only the newest token continues through the decoding range (its input
-    being base + thinking, the cycle-start branch of the training rule);
-    the pending tokens' decoding-layer KV from their light passes is never
-    overwritten.
+    ``last_token`` goes through the base ranges; its base row and the
+    pending light-pass base rows then go through the skipped ranges
+    together, turning their PendingRefill slots Filled. Only the newest
+    token continues through decoding, its input being ``base + think``,
+    the cycle-start branch of the training rule; the pending tokens'
+    light-pass KV is never overwritten.
     """
     if state.cycle_phase != state.tau_infer - 1:
         raise ContractError(
             f"boundary pass at cycle phase {state.cycle_phase} with tau={state.tau_infer}"
         )
-    part = model.partition
     p = state.next_position
     if p >= model.config.max_seq_len:
         raise ConfigError(f"position {p} exceeds max_seq_len")
     pend_positions = [pos for pos, _ in state.pending_refill]
-    pend_bases = [base for _, base in state.pending_refill]
     if pend_positions != list(range(p - len(pend_positions), p)):
         raise ContractError(f"refill batch out of order: {pend_positions} before {p}")
-    batch_positions = np.array(pend_positions + [p])
+    route = route_of(state.plan.variant)
+    positions = np.array([p])
 
     with no_grad():
-        h_emb_new = model.embed_tokens(np.array([int(last_token)]))
-        if state.plan.variant == "encoding":
-            # Encoding KV for pending tokens was already written by their
-            # light passes; only the newest token still needs the encoding
-            # range before the batched thinking refill.
-            base_new = model.forward_range(
-                h_emb_new, part.encoding.start, part.encoding.stop, np.array([p]), state.cache
-            )
-            _trace_range(state, model, "encoding", [p])
-            think_in = _stack_rows(pend_bases + [base_new.data[0]], h_emb_new.dtype)
-        else:
-            base_new = h_emb_new
-            enc_in = _stack_rows(pend_bases + [base_new.data[0]], h_emb_new.dtype)
-            enc_out = model.forward_range(
-                enc_in, part.encoding.start, part.encoding.stop, batch_positions, state.cache
-            )
-            _trace_range(state, model, "encoding", batch_positions)
-            think_in = enc_out
-        h_think = model.forward_range(
-            think_in, part.thinking.start, part.thinking.stop, batch_positions, state.cache
-        )
-        _trace_range(state, model, "thinking", batch_positions)
-
-        decode_in = Tensor(base_new.data[-1:] + h_think.data[-1:])
-        h_out = model.forward_range(
-            decode_in, part.decoding.start, part.decoding.stop, np.array([p]), state.cache
-        )
-        _trace_range(state, model, "decoding", [p])
-        logits = _emit(model, state, h_out)
+        h_emb = model.embed_tokens(np.array([int(last_token)]))
+        base = _forward(model, state, h_emb, route.base, positions)
+        rows = Tensor(np.stack([row for _, row in state.pending_refill] + [base.data[0]]))
+        think = _forward(model, state, rows, route.skipped, np.array(pend_positions + [p]))
+        decode_in = Tensor(base.data[-1:] + think.data[-1:])
+        logits = _emit(model, state, _forward(model, state, decode_in, ("decoding",), positions))
 
     state.pending_refill.clear()
     state.next_position = p + 1
     state.pass_index += 1
     return logits
-
-
-def _stack_rows(rows: list[np.ndarray], dtype) -> Tensor:
-    return Tensor(np.stack(rows).astype(dtype, copy=False))
 
 
 def generate(

@@ -1,11 +1,17 @@
 """Cyclical masking: one forward pass that trains full-path and
 decode-only prediction simultaneously.
 
+Every pass, in training and at inference, follows one route:
+
+    base  = run(route.base, embedding)
+    think = run(route.skipped, base)
+    out   = decoding(base + think ⊙ mask)
+
 Positions are tagged by a binary cycle mask. Cycle-start positions feed
-``base + thinking ⊙ mask`` into the decoding layers (the full path);
-the remaining positions feed the base states alone, which is exactly what
-the light passes see at inference time. ``base`` is either the raw token
-embeddings or the encoding-layer outputs, depending on the plan variant.
+``base + think`` into the decoding layers (the full path); the remaining
+positions feed ``base`` alone, which is exactly what the light passes see
+at inference time. ``ROUTES`` names each variant's base and skipped layer
+ranges; it is the one place that knows what a variant means.
 """
 
 from __future__ import annotations
@@ -19,7 +25,35 @@ from .autograd import Tensor, add, mul
 from .errors import ConfigError
 from .model import KvCache, Model, ModelConfig
 
-VARIANTS = ("embedding", "encoding")
+
+@dataclass(frozen=True)
+class Route:
+    """A variant's named layer ranges: ``base`` is run by every pass,
+    ``skipped`` only by full passes (light passes leave it to the next
+    cycle boundary's refill)."""
+
+    base: tuple[str, ...]
+    skipped: tuple[str, ...]
+
+    @property
+    def light(self) -> tuple[str, ...]:
+        """The ranges a light pass runs."""
+        return self.base + ("decoding",)
+
+
+ROUTES = {
+    "embedding": Route(base=(), skipped=("encoding", "thinking")),
+    "encoding": Route(base=("encoding",), skipped=("thinking",)),
+}
+VARIANTS = tuple(ROUTES)
+
+
+def route_of(variant: str) -> Route:
+    """The variant's route; ``ConfigError`` for an unknown variant."""
+    try:
+        return ROUTES[variant]
+    except KeyError:
+        raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}") from None
 
 
 @dataclass
@@ -40,14 +74,18 @@ class CyclePlan:
             raise ConfigError(f"tau_train must be >= 1, got {self.tau_train}")
         if self.tau_infer is not None and self.tau_infer < 1:
             raise ConfigError(f"tau_infer must be >= 1, got {self.tau_infer}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        route = route_of(self.variant)
         if not 0 <= self.mask_anchor < self.tau_train:
             raise ConfigError(
                 f"mask_anchor must lie in [0, tau_train), got {self.mask_anchor}"
             )
-        if config is not None and self.variant == "encoding" and config.n_encoding < 1:
-            raise ConfigError("the encoding variant requires at least one encoding layer")
+        if config is not None:
+            partition = config.partition()
+            for name in route.base:
+                if not partition.range_of(name):
+                    raise ConfigError(
+                        f"the {self.variant} variant requires at least one {name} layer"
+                    )
 
     def resolved_tau_infer(self) -> int:
         return self.tau_train if self.tau_infer is None else self.tau_infer
@@ -105,16 +143,10 @@ def masked_hidden(
         )
     tau = plan.tau_train if tau is None else tau
     anchor = plan.mask_anchor if anchor is None else anchor
-    part = model.partition
-
+    route = route_of(plan.variant)
     positions = np.arange(n)
-    h_emb = model.embed_tokens(tokens)
-    h_enc = model.forward_range(h_emb, part.encoding.start, part.encoding.stop, positions, cache)
-    h_think = model.forward_range(h_enc, part.thinking.start, part.thinking.stop, positions, cache)
-
+    base = model.forward_ranges(model.embed_tokens(tokens), route.base, positions, cache)
+    think = model.forward_ranges(base, route.skipped, positions, cache)
     mask = build_cycle_mask(n, tau, anchor % tau)
-    mask_col = Tensor(mask[:, None].astype(h_think.dtype))
-    base = h_emb if plan.variant == "embedding" else h_enc
-    h_masked = add(base, mul(h_think, mask_col))
-
-    return model.forward_range(h_masked, part.decoding.start, part.decoding.stop, positions, cache)
+    mask_col = Tensor(mask[:, None].astype(think.dtype))
+    return model.forward_ranges(add(base, mul(think, mask_col)), ("decoding",), positions, cache)

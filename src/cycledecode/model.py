@@ -30,6 +30,8 @@ from . import autograd as ag
 from .autograd import Tensor
 from .errors import CacheIntegrityError, ConfigError, DimensionError
 
+RANGE_NAMES = ("encoding", "thinking", "decoding")
+
 
 @dataclass
 class ModelConfig:
@@ -91,13 +93,16 @@ class LayerPartition:
         return self.decoding.stop
 
     def named_ranges(self) -> dict[str, range]:
-        return {"encoding": self.encoding, "thinking": self.thinking, "decoding": self.decoding}
+        return {name: getattr(self, name) for name in RANGE_NAMES}
 
     def range_of(self, name: str) -> range:
-        try:
-            return self.named_ranges()[name]
-        except KeyError:
-            raise ConfigError(f"unknown layer range {name!r}") from None
+        if name not in RANGE_NAMES:
+            raise ConfigError(f"unknown layer range {name!r}")
+        return getattr(self, name)
+
+    def layers(self, names) -> list[int]:
+        """The layer indices of the named ranges, in the order given."""
+        return [layer for name in names for layer in self.range_of(name)]
 
 
 class SlotState(IntEnum):
@@ -114,12 +119,6 @@ class KvCache:
         self.values = np.zeros((n_layers, max_seq_len, d_model), dtype=dtype)
         self.occupancy = np.zeros((n_layers, max_seq_len), dtype=np.uint8)
         self.max_seq_len = max_seq_len
-
-    @property
-    def length(self) -> int:
-        """Highest position with any non-empty occupancy, plus one."""
-        occupied = np.nonzero(self.occupancy.max(axis=0))[0]
-        return int(occupied[-1]) + 1 if occupied.size else 0
 
     def write(self, layer: int, positions, k: np.ndarray, v: np.ndarray) -> None:
         """Store rows at ``positions`` (an index array or a slice) as Filled."""
@@ -350,6 +349,13 @@ class Model:
         mask = _causal_mask(n, 0, states.dtype)
         for layer in range(start, stop):
             states = self._block_forward(layer, states, positions, mask)
+        return states
+
+    def forward_ranges(self, states: Tensor, names, positions, cache: Optional[KvCache] = None) -> Tensor:
+        """Apply the named layer ranges in order, one ``forward_range`` call each."""
+        for name in names:
+            r = self.partition.range_of(name)
+            states = self.forward_range(states, r.start, r.stop, positions, cache)
         return states
 
     def lm_head(self, states: Tensor) -> Tensor:

@@ -12,10 +12,16 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import ContractError
-from .model import LayerPartition
+from .model import RANGE_NAMES, LayerPartition
 
-RANGE_NAMES = ("encoding", "thinking", "decoding")
 _RANGE_IDS = {name: i for i, name in enumerate(RANGE_NAMES)}
+
+
+def _range_id(name: str) -> int:
+    try:
+        return _RANGE_IDS[name]
+    except KeyError:
+        raise ContractError(f"unknown layer range {name!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,9 +45,7 @@ class InvocationTrace:
         self._stop = array("q")
 
     def add(self, pass_index: int, range_name: str, positions) -> None:
-        range_id = _RANGE_IDS.get(range_name)
-        if range_id is None:
-            raise ContractError(f"unknown layer range {range_name!r}")
+        range_id = _range_id(range_name)
         positions = [int(p) for p in positions]
         if any(b <= a for a, b in zip(positions, positions[1:])):
             raise ContractError("trace positions must be strictly increasing")
@@ -71,7 +75,7 @@ class InvocationTrace:
 
     def range_pass_count(self, *range_names: str) -> int:
         """Number of distinct passes that traverse any of the given ranges."""
-        ids = {_RANGE_IDS[name] for name in range_names if name in _RANGE_IDS}
+        ids = {_range_id(name) for name in range_names}
         return len({p for p, r in zip(self._pass, self._range) if r in ids})
 
     def layer_invocations(self, partition: LayerPartition) -> int:

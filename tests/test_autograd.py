@@ -294,13 +294,6 @@ class TestElementwiseOps:
         assert np.array_equal(x.grad, r * gg - xd * (s * r**3 / 8))
         assert np.array_equal(gain.grad, (gd * (xd * r)).reshape(-1, 8).sum(axis=0))
 
-    def test_concat_gradients(self):
-        rng = np.random.default_rng(9)
-        a = randt(rng, (2, 3))
-        b = randt(rng, (2, 2))
-        w = randt(rng, (2, 5))
-        fd_check(lambda: ag.tsum(ag.mul(ag.concat([a, b], axis=1), w)), [a, b, w])
-
     def test_transpose_reshape_gradients(self):
         rng = np.random.default_rng(10)
         a = randt(rng, (2, 3, 4))
@@ -309,11 +302,6 @@ class TestElementwiseOps:
             lambda: ag.tsum(ag.mul(ag.reshape(ag.transpose(a, (1, 0, 2)), (6, 4)), 1.3) @ w),
             [a, w],
         )
-
-    def test_mean_gradients(self):
-        rng = np.random.default_rng(11)
-        a = randt(rng, (3, 5))
-        fd_check(lambda: ag.tmean(ag.mul(a, a)), [a])
 
 
 class TestRope:

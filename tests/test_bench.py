@@ -84,6 +84,13 @@ class TestInvocationTrace:
             trace.add(pass_index, name, positions)
         assert len(trace) == 1
 
+    def test_unknown_range_count_rejected(self):
+        # a misspelt name is refused, not counted as zero passes
+        trace = InvocationTrace()
+        trace.add(0, "thinking", [0])
+        with pytest.raises(ContractError):
+            trace.range_pass_count("thinking", "thinkng")
+
 
 class TestMeasurePlt:
     def test_hand_counted_schedule(self):

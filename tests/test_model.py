@@ -228,12 +228,6 @@ class TestKvCache:
         for now, then in zip((cache.occupancy, cache.keys, cache.values), before):
             assert np.array_equal(now, then)
 
-    def test_length_tracks_highest_occupied(self, tiny_model):
-        cache = tiny_model.new_cache()
-        assert cache.length == 0
-        cache.write(2, np.array([0, 1, 2]), np.zeros((3, 32)), np.zeros((3, 32)))
-        assert cache.length == 3
-
     def test_occupancy_states(self):
         cache = KvCache(2, 4, 8)
         cache.write(0, np.array([0]), np.zeros((1, 8)), np.zeros((1, 8)))
