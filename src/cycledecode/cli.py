@@ -48,7 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--no-stop", action="store_true",
                        help="do not stop at the separator byte")
 
-    p_eval = sub.add_parser("eval", help="held-out loss/perplexity of a checkpoint")
+    p_eval = sub.add_parser(
+        "eval", help="anchor-averaged held-out loss/perplexity of a checkpoint"
+    )
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--corpus", required=True)
     p_eval.add_argument("--tau", default=None,
@@ -228,6 +230,7 @@ def cmd_eval(args) -> int:
             tau=tau,
             batch_size=run_cfg.train.batch_size,
             max_windows=run_cfg.train.eval_windows,
+            average_anchors=True,
         )
         print(f"{tau}\t{loss:.6f}\t{np.exp(loss):.3f}")
     return EXIT_OK

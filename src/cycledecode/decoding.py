@@ -1,28 +1,29 @@
 """Cycle-based generation with cyclical KV-cache refilling.
 
-Generation proceeds in cycles of ``tau_infer`` tokens, each pass following
-the plan's ``Route`` (``masking.ROUTES``). The first pass of a cycle runs
-every layer range; the remaining ``tau_infer - 1`` light passes run only
-the route's base ranges and then decoding, and leave the skipped ranges'
-KV slots marked PendingRefill. The next cycle's first pass batches all
-pending tokens through the skipped ranges, restoring their KV entries
-before any later attention can need them, so no verification step is
-required downstream.
+Every pass follows the plan's ``Route`` (``masking.ROUTES``) and one rule:
+a pass whose newest position is a cycle start, ``(p - mask_anchor) %
+tau_infer == 0``, is full; any other pass is light. Both run the route's
+base ranges and then decoding. A full pass also runs the skipped ranges,
+over its own rows and the base rows of the light passes since the last
+full pass, which refills their KV slots before any later attention can
+need them, so no verification step is required downstream. A light pass
+leaves its skipped ranges' slots marked PendingRefill.
 
 Pass schedule for a cycle length of 3 over context x0..x4:
 
-    pass 0  (prefill)   x0..x4 through all ranges, emits x5
-    pass 1  (light)     x5 through the base ranges and decoding, emits x6
-    pass 2  (light)     x6 through the base ranges and decoding, emits x7
-    pass 3  (boundary)  x7 through the base ranges; x5,x6,x7 batched
-                        through the skipped ranges (refilling x5 and x6,
-                        filling x7); x7 alone through decoding, emits x8
+    pass 0  full, prefill   x0..x4 through all ranges, emits x5
+    pass 1  light           x5 through the base ranges and decoding, emits x6
+    pass 2  light           x6 through the base ranges and decoding, emits x7
+    pass 3  full, boundary  x7 through the base ranges; x5,x6,x7 batched
+                            through the skipped ranges (refilling x5 and x6,
+                            filling x7); x7 alone through decoding, emits x8
     ...
 
-The cycle mask anchor is chosen so the final context position is a cycle
-start; the realized sequence then follows exactly the training-time
-masking rule, which is what makes teacher-forced replay reproduce the
-inference logits.
+The prefill anchors the mask so the final context position is a cycle
+start, which makes it full; every following cycle then has one full pass
+and ``tau_infer - 1`` light ones. The realized sequence follows exactly the
+training-time masking rule, which is what makes teacher-forced replay
+reproduce the inference logits.
 
 A Model's weights are never mutated here (``Model.frozen_head`` only
 caches copies of them) and a Model may be shared across streams; each
@@ -39,8 +40,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor, no_grad
 from .errors import ConfigError, ContractError, NumericError
-from .masking import CyclePlan, masked_hidden, route_of
-from .model import RANGE_NAMES, KvCache, Model, SlotState
+from .masking import CyclePlan, build_cycle_mask, route_of
+from .model import KvCache, Model, SlotState
 from .trace import InvocationTrace
 
 
@@ -174,24 +175,58 @@ class GenerationReport:
     message: str = ""
 
 
-def _trace(model: Model, state: DecodeState, names, positions) -> None:
-    """One trace entry for the current pass per named range that has layers."""
+def _forward(model: Model, state: DecodeState, x: Tensor, names, positions) -> Tensor:
+    """``x`` through the named ranges in order on the state's cache, with one
+    trace entry for the current pass per named range that has layers."""
+    x = model.forward_ranges(x, names, positions, state.cache)
     for name in names:
         if model.partition.range_of(name):
             state.trace.add(state.pass_index, name, positions)
-
-
-def _forward(model: Model, state: DecodeState, x: Tensor, names, positions) -> Tensor:
-    """``x`` through the named ranges in order on the state's cache, traced."""
-    x = model.forward_ranges(x, names, positions, state.cache)
-    _trace(model, state, names, positions)
     return x
 
 
-def _emit(model: Model, state: DecodeState, h_out: Tensor) -> np.ndarray:
-    """Logits of a pass's single output row, which is kept as ``last_hidden``."""
-    state.last_hidden = h_out.data[0]
-    return model.lm_head(h_out).data[0]
+def _pass(model: Model, state: DecodeState, tokens) -> np.ndarray:
+    """Run ``tokens`` at the next positions; returns the newest one's logits.
+
+    Every pass runs the route's base ranges. It is full when its newest
+    position ``p`` is a cycle start, ``(p - mask_anchor) % tau_infer == 0``:
+    the skipped ranges then run over the pending base rows and its own,
+    refilling the pending slots, and decoding is fed ``base + think ⊙ mask``.
+    Otherwise it is light: decoding is fed ``base`` alone, and the skipped
+    ranges' slots at ``p`` are marked PendingRefill, with the base row kept
+    for the next full pass to refill them from.
+    """
+    first = state.next_position
+    n = len(tokens)
+    p = first + n - 1
+    if p >= model.config.max_seq_len:
+        raise ConfigError(f"position {p} exceeds max_seq_len={model.config.max_seq_len}")
+    route = route_of(state.plan.variant)
+    positions = np.arange(first, p + 1)
+    tau, anchor = state.tau_infer, state.mask_anchor
+
+    with no_grad():
+        base = _forward(model, state, model.embed_tokens(tokens), route.base, positions)
+        if (p - anchor) % tau == 0:
+            rows = Tensor(np.vstack([row for _, row in state.pending_refill] + [base.data]))
+            refill = np.arange(first - len(state.pending_refill), p + 1)
+            think = _forward(model, state, rows, route.skipped, refill)
+            mask = build_cycle_mask(n, tau, (anchor - first) % tau)[:, None]
+            decode_in = Tensor(base.data + think.data[-n:] * mask.astype(think.dtype))
+            state.pending_refill.clear()
+        else:
+            decode_in = base
+            state.cache.mark_pending(model.partition.layers(route.skipped), p)
+            state.pending_refill.append((p, base.data[0].copy()))
+        out = _forward(model, state, decode_in, ("decoding",), positions)
+        if n > 1:
+            out = Tensor(out.data[-1:])
+        state.last_hidden = out.data[0].copy()
+        logits = model.lm_head(out).data[0]
+
+    state.next_position = p + 1
+    state.pass_index += 1
+    return logits
 
 
 def prefill(
@@ -200,12 +235,11 @@ def prefill(
     plan: CyclePlan,
     sampler: Optional[SamplerConfig] = None,
 ) -> tuple[DecodeState, int, np.ndarray]:
-    """Run the whole context through all ranges and emit the first token.
+    """Run the whole context as the first full pass and emit the first token.
 
-    This is the initial full pass of the first cycle: ``masked_hidden``
-    over the context, writing a fresh cache, with the cyclical mask at
-    ``tau_infer`` anchored so the final context position is a cycle start.
-    Returns the new state, the sampled token, and its logits row.
+    The cyclical mask at ``tau_infer`` is anchored so the final context
+    position is a cycle start, which makes this pass full. Returns the new
+    state, on a fresh cache, the sampled token, and its logits row.
     """
     plan.validate(model.config)
     sampler = sampler or SamplerConfig()
@@ -220,88 +254,41 @@ def prefill(
         plan=plan,
         tau_infer=tau,
         mask_anchor=(n - 1) % tau,
-        next_position=n,
+        next_position=0,
         last_token=-1,
         rng=np.random.default_rng(sampler.seed),
     )
-    with no_grad():
-        h_out = masked_hidden(
-            model, context, plan, anchor=state.mask_anchor, tau=tau, cache=state.cache
-        )
-        logits = _emit(model, state, Tensor(h_out.data[-1:].copy()))
-    _trace(model, state, RANGE_NAMES, range(n))
-    state.pass_index += 1
+    logits = _pass(model, state, context)
     token = sample(logits, sampler, state.rng)
     state.last_token = token
     return state, token, logits
 
 
 def light_pass(model: Model, state: DecodeState, token: int) -> np.ndarray:
-    """Forward one token through the base ranges, then decoding; returns
-    its logits.
-
-    The decoding input is ``base`` alone, the mask-off branch of the
-    training rule. The skipped ranges' KV slots for this position are
-    marked PendingRefill, and the base row kept for the next cycle
-    boundary to refill them from.
-    """
+    """One light pass over ``token``: base ranges, then decoding; returns
+    its logits. Allowed while fewer than ``tau_infer - 1`` light passes
+    are pending."""
     if state.cycle_phase >= state.tau_infer - 1:
         raise ContractError(
             f"light pass at cycle phase {state.cycle_phase} with tau={state.tau_infer}"
         )
-    p = state.next_position
-    if p >= model.config.max_seq_len:
-        raise ConfigError(f"position {p} exceeds max_seq_len")
-    route = route_of(state.plan.variant)
-    positions = np.array([p])
-
-    with no_grad():
-        h_emb = model.embed_tokens(np.array([token]))
-        base = _forward(model, state, h_emb, route.base, positions)
-        logits = _emit(model, state, _forward(model, state, base, ("decoding",), positions))
-
-    state.cache.mark_pending(model.partition.layers(route.skipped), p)
-    state.pending_refill.append((p, base.data[0].copy()))
-    state.next_position = p + 1
-    state.pass_index += 1
-    return logits
+    return _pass(model, state, [int(token)])
 
 
 def cycle_boundary_pass(model: Model, state: DecodeState, last_token: int) -> np.ndarray:
-    """First pass of a cycle: batched refill, then decode the newest token.
-
-    ``last_token`` goes through the base ranges; its base row and the
-    pending light-pass base rows then go through the skipped ranges
-    together, turning their PendingRefill slots Filled. Only the newest
-    token continues through decoding, its input being ``base + think``,
-    the cycle-start branch of the training rule; the pending tokens'
-    light-pass KV is never overwritten.
-    """
+    """First pass of a cycle over ``last_token``: a full pass whose skipped
+    ranges refill the pending light passes' slots in one batch; returns its
+    logits. Only the newest token continues through decoding, so the
+    pending tokens' light-pass KV is never overwritten."""
     if state.cycle_phase != state.tau_infer - 1:
         raise ContractError(
             f"boundary pass at cycle phase {state.cycle_phase} with tau={state.tau_infer}"
         )
     p = state.next_position
-    if p >= model.config.max_seq_len:
-        raise ConfigError(f"position {p} exceeds max_seq_len")
     pend_positions = [pos for pos, _ in state.pending_refill]
     if pend_positions != list(range(p - len(pend_positions), p)):
         raise ContractError(f"refill batch out of order: {pend_positions} before {p}")
-    route = route_of(state.plan.variant)
-    positions = np.array([p])
-
-    with no_grad():
-        h_emb = model.embed_tokens(np.array([int(last_token)]))
-        base = _forward(model, state, h_emb, route.base, positions)
-        rows = Tensor(np.stack([row for _, row in state.pending_refill] + [base.data[0]]))
-        think = _forward(model, state, rows, route.skipped, np.array(pend_positions + [p]))
-        decode_in = Tensor(base.data[-1:] + think.data[-1:])
-        logits = _emit(model, state, _forward(model, state, decode_in, ("decoding",), positions))
-
-    state.pending_refill.clear()
-    state.next_position = p + 1
-    state.pass_index += 1
-    return logits
+    return _pass(model, state, [int(last_token)])
 
 
 def generate(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .autograd import Tensor, add, mul
 from .errors import ConfigError
-from .model import KvCache, Model, ModelConfig
+from .model import Model, ModelConfig
 
 
 @dataclass(frozen=True)
@@ -112,27 +112,9 @@ def masked_forward(
 ) -> Tensor:
     """Full training-style forward pass over a sequence (or batch of them).
 
-    Returns logits of shape [n, V] (or [B, n, V]): ``masked_hidden``, then
-    the final norm and the vocabulary projection.
-    """
-    return model.lm_head(masked_hidden(model, tokens, plan, anchor, tau))
-
-
-def masked_hidden(
-    model: Model,
-    tokens,
-    plan: CyclePlan,
-    anchor: Optional[int] = None,
-    tau: Optional[int] = None,
-    cache: Optional[KvCache] = None,
-) -> Tensor:
-    """The decoding range's output [n, d] (or [B, n, d]) under the cycle mask.
-
-    ``anchor`` and ``tau`` default to the plan's training settings; the
-    inference replay oracle and the decoder's prefill override them to
-    align with a realized generation. With a ``cache`` (a single sequence
-    only) every range runs on the inference kernel and writes its KV
-    entries for positions 0..n-1 into it; the result then carries no graph.
+    Returns logits of shape [n, V] (or [B, n, V]). ``anchor`` and ``tau``
+    default to the plan's training settings; the inference replay oracle
+    overrides them to align with a realized generation.
     """
     plan.validate(model.config)
     tokens = np.asarray(tokens)
@@ -145,8 +127,9 @@ def masked_hidden(
     anchor = plan.mask_anchor if anchor is None else anchor
     route = route_of(plan.variant)
     positions = np.arange(n)
-    base = model.forward_ranges(model.embed_tokens(tokens), route.base, positions, cache)
-    think = model.forward_ranges(base, route.skipped, positions, cache)
+    base = model.forward_ranges(model.embed_tokens(tokens), route.base, positions)
+    think = model.forward_ranges(base, route.skipped, positions)
     mask = build_cycle_mask(n, tau, anchor % tau)
     mask_col = Tensor(mask[:, None].astype(think.dtype))
-    return model.forward_ranges(add(base, mul(think, mask_col)), ("decoding",), positions, cache)
+    decoded = model.forward_ranges(add(base, mul(think, mask_col)), ("decoding",), positions)
+    return model.lm_head(decoded)

@@ -66,8 +66,12 @@ class TrainConfig:
             raise ConfigError(f"warmup_ratio must lie in [0, 1], got {self.warmup_ratio}")
         if not 0.0 <= self.eval_fraction < 1.0:
             raise ConfigError(f"eval_fraction must lie in [0, 1), got {self.eval_fraction}")
-        if self.log_interval < 1 or self.eval_interval < 1:
-            raise ConfigError("log_interval and eval_interval must be >= 1")
+        if self.log_interval < 1 or self.eval_interval < 1 or self.eval_windows < 1:
+            raise ConfigError("log_interval, eval_interval and eval_windows must be >= 1")
+        if self.checkpoint_interval < 0:
+            raise ConfigError(
+                f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}"
+            )
         if self.lr <= 0 or self.grad_clip <= 0:
             raise ConfigError("lr and grad_clip must be positive")
 
@@ -183,6 +187,8 @@ def evaluate(
     if windows.shape[0] == 0:
         raise ConfigError("evaluation split is empty")
     if max_windows is not None:
+        if max_windows < 1:
+            raise ConfigError(f"max_windows must be >= 1, got {max_windows}")
         windows = windows[:max_windows]
     eval_tau = plan.tau_train if tau is None else tau
     anchors = range(eval_tau) if average_anchors else (0,)

@@ -299,7 +299,9 @@ class TestElementwiseOps:
         a = randt(rng, (2, 3, 4))
         w = randt(rng, (4, 6))
         fd_check(
-            lambda: ag.tsum(ag.mul(ag.reshape(ag.transpose(a, (1, 0, 2)), (6, 4)), 1.3) @ w),
+            lambda: ag.tsum(
+                ag.matmul(ag.mul(ag.reshape(ag.transpose(a, (1, 0, 2)), (6, 4)), 1.3), w)
+            ),
             [a, w],
         )
 

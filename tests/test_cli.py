@@ -17,7 +17,7 @@ from cycledecode.corpus import (
 )
 from cycledecode.errors import ConfigError
 from cycledecode.runconfig import load_run_config, parse_run_config
-from cycledecode.training import TrainRecord
+from cycledecode.training import TrainRecord, evaluate
 
 
 CONFIG_TEMPLATE = """\
@@ -323,19 +323,32 @@ class TestCmdEval:
         loss = float(out[1].split("\t")[1])
         assert abs(loss - math.log(256)) < 0.35
 
-    def test_matches_final_logged_eval_loss(self, trained_run, corpus_file, capsys):
+    def test_prints_anchor_averaged_loss(self, trained_run, corpus_file, capsys):
         _, report_dir = trained_run
+        model, run_cfg, _, _ = load_checkpoint(report_dir / "model.ckpt")
+        train = run_cfg.train
+        corpus = load_corpus(corpus_file, train.seq_len, train.eval_fraction, train.seed)
+
+        def loss_at(tau, average_anchors):
+            return evaluate(model, corpus.eval_windows, run_cfg.plan, tau=tau,
+                            batch_size=train.batch_size, max_windows=train.eval_windows,
+                            average_anchors=average_anchors)
+
+        assert run_cli([
+            "eval", "--checkpoint", report_dir / "model.ckpt", "--corpus", corpus_file,
+            "--tau", "2,3",
+        ]) == 0
+        rows = [r.split("\t") for r in capsys.readouterr().out.splitlines()[1:]]
+        printed = {int(tau): float(loss) for tau, loss, _ in rows}
+        assert abs(printed[3] - loss_at(3, True)) < 1e-6
+        assert abs(printed[2] - loss_at(2, True)) < 1e-6
+        # anchor 0 alone, which training logs, is a different number
+        assert abs(printed[3] - loss_at(3, False)) > 1e-5
         records = [
             TrainRecord.from_json_line(l)
             for l in (report_dir / "train_log.jsonl").read_text().splitlines()
         ]
-        final_eval = records[-1].eval_loss
-        assert run_cli([
-            "eval", "--checkpoint", report_dir / "model.ckpt", "--corpus", corpus_file,
-        ]) == 0
-        out = capsys.readouterr().out.splitlines()
-        loss = float(out[1].split("\t")[1])
-        assert abs(loss - final_eval) < 2e-6
+        assert abs(loss_at(run_cfg.plan.tau_train, False) - records[-1].eval_loss) < 2e-6
 
     def test_training_log_feeds_scaling_fit(self, trained_run):
         from cycledecode.bench import fit_scaling_law

@@ -1,10 +1,11 @@
 """Property test of the decode state machine.
 
-Hypothesis draws a partition, a variant, both cycle lengths, a context and
-a ``max_seq_len`` small enough to truncate. The decoder is stepped by hand,
-pass by pass, with the state's invariants checked after every pass; the
-result must equal ``generate``, obey the exact PLT law on whole cycles and
-agree with the teacher-forced replay through ``masked_forward``.
+Hypothesis draws a partition, a variant, both cycle lengths, a context, a
+``max_seq_len`` small enough to truncate, a greedy or temperature sampler
+and perhaps a stop token. The decoder is stepped by hand, pass by pass,
+with the state's invariants checked after every pass; the result must
+equal ``generate``, obey the exact PLT law on whole cycles and agree with
+the teacher-forced replay through ``masked_forward``.
 """
 
 import numpy as np
@@ -43,29 +44,42 @@ def decode_cases(draw):
         seed=draw(st.integers(0, 999)),
     )
     context = draw(st.lists(st.integers(0, 63), min_size=n_ctx, max_size=n_ctx))
-    return config, plan, np.array(context), max_new
+    sampler = SamplerConfig(
+        mode=draw(st.sampled_from(("greedy", "temperature"))),
+        temperature=draw(st.sampled_from((0.5, 1.0, 2.0))),
+        seed=draw(st.integers(0, 999)),
+    )
+    # the stop token is the one a free run emits at this index, so it fires
+    stop_index = draw(st.sampled_from((None, 0, max_new // 2, max_new - 1)))
+    return config, plan, np.array(context), max_new, sampler, stop_index
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(decode_cases())
 def test_hand_stepped_decode_obeys_both_laws(case):
-    config, plan, context, max_new = case
+    config, plan, context, max_new, sampler, stop_index = case
     model = Model(config)
-    greedy = SamplerConfig()
-    state, token, logits = prefill(model, context, plan)
+    stop = None
+    if stop_index is not None:
+        free = generate(model, context, max_new, plan, sampler)[0].tokens
+        stop = free[min(stop_index, len(free) - 1)]
+
+    state, token, logits = prefill(model, context, plan, sampler)
     state.check_invariants(model)
     tokens, rows = [token], [logits]
-    while len(tokens) < max_new and state.next_position < config.max_seq_len:
+    while token != stop and len(tokens) < max_new and state.next_position < config.max_seq_len:
         step = light_pass if state.cycle_phase < state.tau_infer - 1 else cycle_boundary_pass
         logits = step(model, state, state.last_token)
         state.check_invariants(model)
-        state.last_token = sample(logits, greedy)
-        tokens.append(state.last_token)
+        token = state.last_token = sample(logits, sampler, state.rng)
+        tokens.append(token)
         rows.append(logits)
+    stopped = token == stop
 
-    report, _ = generate(model, context, max_new, plan, collect_logits=True)
+    report, _ = generate(model, context, max_new, plan, sampler, stop_token=stop,
+                         collect_logits=True)
     assert report.tokens == tokens
-    assert report.truncated == (len(tokens) < max_new)
+    assert report.truncated == (len(tokens) < max_new and not stopped)
     assert np.array_equal(np.asarray(report.logit_rows), np.stack(rows))
     assert report.trace.summary() == state.trace.summary()
 

@@ -211,6 +211,21 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate(model, np.zeros((0, 8), dtype=np.int64), plan)
 
+    @pytest.mark.parametrize("max_windows", [0, -1])
+    def test_bad_max_windows_rejected(self, model, plan, max_windows):
+        # 0 used to divide by zero, and -1 to drop the last window silently
+        with pytest.raises(ConfigError):
+            evaluate(model, random_batch((4, 12), seed=6), plan, max_windows=max_windows)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("eval_windows", 0), ("eval_windows", -3), ("checkpoint_interval", -1),
+    ])
+    def test_bad_cadence_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value}).validate()
+
 
 class TestRunTraining:
     def test_batch_indices_stateless(self):
